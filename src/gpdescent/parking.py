@@ -306,14 +306,3 @@ def render(pf: ParkingFunction) -> str:
 def to_json_dict(pf: ParkingFunction) -> dict:
     """Canonical serialization as the pair of integer sequences."""
     return {"area": list(pf.area), "labels": list(pf.labels)}
-
-def stats_summary(pf: ParkingFunction, alpha: Composition | None = None) -> dict:
-    summary = {
-        "area": area(pf),
-        "dinv": dinv(pf),
-        "dinv_pairs": sorted(dinv_pairs(pf)),
-        "reading_word": list(reading_word(pf)),
-    }
-    if alpha is not None:
-        summary["doff"] = doff(pf, alpha)
-    return summary

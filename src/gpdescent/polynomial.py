@@ -1,28 +1,26 @@
-"""Exact sparse multivariate polynomial arithmetic over the rationals.
+"""Exact sparse multivariate polynomial arithmetic.
 
 A polynomial in ``x_1, ..., x_n`` is a dict mapping exponent tuples of
-length ``n`` to nonzero ``Fraction`` coefficients; the zero polynomial is
-the empty dict.  Variables are 1-based in the API to match the rest of the
+length ``n`` to nonzero coefficients; the zero polynomial is the empty
+dict.  Every polynomial built here has ``int`` coefficients.  The
+arithmetic helpers add and multiply whatever exact coefficients they are
+given, so rational polynomials (normal forms modulo an ideal) pass through
+them too.  Variables are 1-based in the API to match the rest of the
 package (``x_i`` is slot ``i - 1`` of the exponent tuple).
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from numbers import Rational
 from typing import Iterable
 
 Exponent = tuple[int, ...]
-MPoly = dict[Exponent, Fraction]
-
-
-def zero() -> MPoly:
-    return {}
+MPoly = dict[Exponent, Rational]
 
 
 def const(n: int, value) -> MPoly:
-    coeff = Fraction(value)
-    return {(0,) * n: coeff} if coeff else {}
+    return {(0,) * n: value} if value else {}
 
 
 def variable(n: int, i: int) -> MPoly:
@@ -31,29 +29,17 @@ def variable(n: int, i: int) -> MPoly:
         raise ValueError(f"variable index {i} out of range 1..{n}")
     exp = [0] * n
     exp[i - 1] = 1
-    return {tuple(exp): Fraction(1)}
+    return {tuple(exp): 1}
 
 
 def monomial(exp: Exponent, coeff=1) -> MPoly:
-    coeff = Fraction(coeff)
     return {tuple(exp): coeff} if coeff else {}
 
 
 def add(a: MPoly, b: MPoly) -> MPoly:
     out = dict(a)
     for exp, coeff in b.items():
-        new = out.get(exp, Fraction(0)) + coeff
-        if new:
-            out[exp] = new
-        else:
-            out.pop(exp, None)
-    return out
-
-
-def sub(a: MPoly, b: MPoly) -> MPoly:
-    out = dict(a)
-    for exp, coeff in b.items():
-        new = out.get(exp, Fraction(0)) - coeff
+        new = out.get(exp, 0) + coeff
         if new:
             out[exp] = new
         else:
@@ -62,7 +48,6 @@ def sub(a: MPoly, b: MPoly) -> MPoly:
 
 
 def scale(a: MPoly, factor) -> MPoly:
-    factor = Fraction(factor)
     if not factor:
         return {}
     return {exp: coeff * factor for exp, coeff in a.items()}
@@ -73,7 +58,7 @@ def mul(a: MPoly, b: MPoly) -> MPoly:
     for ea, ca in a.items():
         for eb, cb in b.items():
             exp = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(exp, Fraction(0)) + ca * cb
+            new = out.get(exp, 0) + ca * cb
             if new:
                 out[exp] = new
             else:
@@ -106,7 +91,7 @@ def apply_permutation(p: MPoly, w) -> MPoly:
         for i, e in enumerate(exp):
             new[w[i] - 1] = e
         key = tuple(new)
-        acc = out.get(key, Fraction(0)) + coeff
+        acc = out.get(key, 0) + coeff
         if acc:
             out[key] = acc
         else:
@@ -132,7 +117,7 @@ def elementary_symmetric(d: int, variables: Iterable[int], n: int) -> MPoly:
         exp = [0] * n
         for i in subset:
             exp[i - 1] = 1
-        out[tuple(exp)] = Fraction(1)
+        out[tuple(exp)] = 1
     return out
 
 
@@ -172,10 +157,9 @@ def antisymmetrize(mu, p: MPoly) -> MPoly:
     """Signed sum over the Young subgroup of consecutive blocks ``mu`` of
     the variable-permuted images of ``p``.
 
-    >>> from fractions import Fraction
     >>> result = antisymmetrize((2,), variable(2, 1))
     >>> sorted(result.items())
-    [((0, 1), Fraction(-1, 1)), ((1, 0), Fraction(1, 1))]
+    [((0, 1), -1), ((1, 0), 1)]
     """
     out: MPoly = {}
     for w, sign in _young_subgroup(mu):

@@ -159,6 +159,22 @@ def test_route_disagreement_exit_code(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_verify_rejects_unknown_checks(capsys):
+    code, out, err = run(capsys, "verify", "2,1", "--checks", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err
+    assert "basis,leading,parabolic,phi,minimal-ribbons" in err
+
+
+def test_verify_leading_alone(capsys):
+    code, out, _ = run(capsys, "verify", "2,1", "--checks", "leading")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload) == ["lambda", "leading_terms_ok", "checks"]
+    assert payload["checks"] == {"leading": True}
+
+
 def test_verify_bound(capsys):
     code, _, err = run(capsys, "--n-bound", "3", "verify", "4", "--checks", "basis")
     assert code == 3

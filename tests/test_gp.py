@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpdescent.core import conjugate, multinomial, partitions
+from gpdescent.core import conjugate, multinomial, n_stat, partitions
 from gpdescent.descent import descent_key
 from gpdescent.linalg import Echelon, clear_denominators, matrix_rank
 from gpdescent.polynomial import (
@@ -12,6 +12,7 @@ from gpdescent.polynomial import (
     monomial,
     monomials_of_degree,
     mul,
+    mul_monomial,
     variable,
 )
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
@@ -25,6 +26,7 @@ from gpdescent.tanisaki import (
     parabolic_basis_elements,
     phi_by_descent_coordinates,
     phi_map,
+    quotient_dimension,
     tanimap_spot_check,
     tanisaki_ideal,
     verify_descent_basis,
@@ -155,6 +157,39 @@ def test_ideal_slice_basis_examples():
     # ranks for the hook of size 3 are consistent with its series 1 + 2t
     assert len(ideal_slice_basis((2, 1), 3, 1)) == 3 - 2
     assert len(ideal_slice_basis((2, 1), 3, 2)) == 6 - 0
+
+
+def test_quotient_dimension_matches_lex_order_rank():
+    # the quotient dimension does not depend on the column order: plain lex
+    # columns, built here from scratch, give the same counts
+    for n in range(1, 5):
+        for lam in partitions(n):
+            generators = tanisaki_ideal(lam).generators
+            for degree in range(n_stat(lam) + 2):
+                monos = monomials_of_degree(n, degree)  # decreasing lex order
+                index = {exp: i for i, exp in enumerate(monos)}
+                rows = [
+                    {
+                        index[exp]: c
+                        for exp, c in mul_monomial(
+                            elementary_symmetric(d, subset, n), padding
+                        ).items()
+                    }
+                    for subset, d in generators
+                    if d <= degree
+                    for padding in monomials_of_degree(n, degree - d)
+                ]
+                assert len(monos) - matrix_rank(rows) == quotient_dimension(lam, n, degree)
+
+
+def test_polynomial_coefficients_are_int():
+    polys = [
+        elementary_symmetric(2, [1, 2, 3], 3),
+        elementary_symmetric(0, [1, 2], 2),
+        antisymmetrize((2, 2, 1), monomial((1, 0, 1, 0, 0))),
+    ]
+    for p in polys:
+        assert p and all(type(c) is int for c in p.values())
 
 
 def test_ideal_membership():
