@@ -40,6 +40,22 @@ def _normalize(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
+def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
+    """The smallest integer combination of ``row`` and ``pivot`` (whose
+    entry at ``col`` is positive) that clears ``col``, normalized; the
+    multiple of ``row`` is positive."""
+    g = gcd(pivot[col], row[col])
+    ca, cb = pivot[col] // g, row[col] // g
+    merged = {c: value * ca for c, value in row.items()}
+    for c, value in pivot.items():
+        new = merged.get(c, 0) - value * cb
+        if new:
+            merged[c] = new
+        else:
+            merged.pop(c, None)
+    return _normalize(merged) if merged else merged
+
+
 class Echelon:
     """Incremental row-echelon form with exact integer arithmetic."""
 
@@ -49,9 +65,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivot_rows)
-
-    def pivot_columns(self) -> set[int]:
-        return set(self.pivot_rows)
 
     def add_row(self, row) -> bool:
         """Reduce ``row`` against the current pivots and insert the result.
@@ -69,19 +82,7 @@ class Echelon:
             if pivot is None:
                 self.pivot_rows[lead] = _normalize(work)
                 return True
-            a, b = pivot[lead], work[lead]
-            g = gcd(a, b)
-            ca, cb = a // g, b // g
-            merged: dict[int, int] = {}
-            for col, value in work.items():
-                merged[col] = value * ca
-            for col, value in pivot.items():
-                new = merged.get(col, 0) - value * cb
-                if new:
-                    merged[col] = new
-                else:
-                    merged.pop(col, None)
-            work = _normalize(merged) if merged else merged
+            work = _eliminate(work, pivot, lead)
         return False
 
     def add_rows(self, rows, stop_at_rank: int | None = None) -> int:
@@ -98,6 +99,16 @@ class Echelon:
             if stop_at_rank is not None and self.rank >= stop_at_rank:
                 break
         return self.rank
+
+    def back_substitute(self) -> None:
+        """Clear every pivot column from the other pivot rows (reduced
+        row-echelon form), in integers with the content stripped after each
+        step, which keeps the coefficients small."""
+        for lead in sorted(self.pivot_rows, reverse=True):
+            row = self.pivot_rows[lead]
+            for col in [col for col in row if col != lead and col in self.pivot_rows]:
+                row = _eliminate(row, self.pivot_rows[col], col)
+            self.pivot_rows[lead] = row
 
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
         """Normal form of a rational row modulo the row space: eliminate

@@ -42,9 +42,9 @@ def is_valid(pf: ParkingFunction) -> bool:
     """
     area, labels = pf
     n = len(area)
-    if n == 0 or len(labels) != n or not is_permutation(labels):
+    if len(labels) != n or not is_permutation(labels):
         return False
-    if area[0] != 0 or any(a < 0 for a in area):
+    if (area and area[0] != 0) or any(a < 0 for a in area):
         return False
     for i in range(n - 1):
         if area[i + 1] > area[i] + 1:
@@ -133,7 +133,9 @@ def _area_sequences(n: int) -> Iterator[tuple[int, ...]]:
         for nxt in range(prefix[-1] + 2):
             yield from extend(prefix + (nxt,))
 
-    if n >= 1:
+    if n == 0:
+        yield ()  # the empty path
+    else:
         yield from extend((0,))
 
 
@@ -144,15 +146,12 @@ def _labelings(area_seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     a labeling amounts to distributing ``{1..n}`` over the chains.
     """
     n = len(area_seq)
-    chains = []
-    current = [0]
-    for i in range(1, n):
-        if area_seq[i] == area_seq[i - 1] + 1:
-            current.append(i)
+    chains: list[list[int]] = []
+    for i in range(n):
+        if i and area_seq[i] == area_seq[i - 1] + 1:
+            chains[-1].append(i)
         else:
-            chains.append(current)
-            current = [i]
-    chains.append(current)
+            chains.append([i])
 
     def assign(chain_index: int, free: tuple[int, ...], labels: list[int]):
         if chain_index == len(chains):

@@ -12,6 +12,7 @@ package (``x_i`` is slot ``i - 1`` of the exponent tuple).
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from numbers import Rational
 from typing import Iterable
 
@@ -36,23 +37,6 @@ def monomial(exp: Exponent, coeff=1) -> MPoly:
     return {tuple(exp): coeff} if coeff else {}
 
 
-def add(a: MPoly, b: MPoly) -> MPoly:
-    out = dict(a)
-    for exp, coeff in b.items():
-        new = out.get(exp, 0) + coeff
-        if new:
-            out[exp] = new
-        else:
-            out.pop(exp, None)
-    return out
-
-
-def scale(a: MPoly, factor) -> MPoly:
-    if not factor:
-        return {}
-    return {exp: coeff * factor for exp, coeff in a.items()}
-
-
 def mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}
     for ea, ca in a.items():
@@ -69,34 +53,6 @@ def mul(a: MPoly, b: MPoly) -> MPoly:
 def mul_monomial(a: MPoly, exp: Exponent) -> MPoly:
     """Multiply by a single monomial (no coefficient)."""
     return {tuple(x + y for x, y in zip(e, exp)): c for e, c in a.items()}
-
-
-def total_degree(exp: Exponent) -> int:
-    return sum(exp)
-
-
-def homogeneous_components(p: MPoly) -> dict[int, MPoly]:
-    parts: dict[int, MPoly] = {}
-    for exp, coeff in p.items():
-        parts.setdefault(total_degree(exp), {})[exp] = coeff
-    return parts
-
-
-def apply_permutation(p: MPoly, w) -> MPoly:
-    """Substitute ``x_i -> x_{w(i)}`` for a permutation ``w`` of ``1..n``
-    in one-line notation."""
-    out: MPoly = {}
-    for exp, coeff in p.items():
-        new = [0] * len(exp)
-        for i, e in enumerate(exp):
-            new[w[i] - 1] = e
-        key = tuple(new)
-        acc = out.get(key, 0) + coeff
-        if acc:
-            out[key] = acc
-        else:
-            out.pop(key, None)
-    return out
 
 
 def elementary_symmetric(d: int, variables: Iterable[int], n: int) -> MPoly:
@@ -121,49 +77,51 @@ def elementary_symmetric(d: int, variables: Iterable[int], n: int) -> MPoly:
     return out
 
 
-def _young_subgroup(mu) -> list[tuple[tuple[int, ...], int]]:
-    """Elements of the Young subgroup of consecutive blocks ``mu`` with signs."""
-    blocks = []
+@lru_cache(maxsize=None)
+def _young_subgroup(mu: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Elements of the Young subgroup of consecutive blocks ``mu``, each as
+    its one-line notation and its sign."""
+    elements = [((), 1)]
     start = 1
     for part in mu:
-        blocks.append(list(range(start, start + part)))
-        start += part
-    n = start - 1
-
-    def sign_of(perm: tuple[int, ...]) -> int:
-        inversions = sum(
-            1
-            for i in range(len(perm))
-            for j in range(i + 1, len(perm))
-            if perm[i] > perm[j]
-        )
-        return -1 if inversions % 2 else 1
-
-    elements = [(tuple(range(1, n + 1)), 1)]
-    for block in blocks:
-        new_elements = []
+        block = range(start, start + part)
+        signed = []
         for block_perm in itertools.permutations(block):
-            s = sign_of(block_perm)
-            for word, sign in elements:
-                w = list(word)
-                for slot, value in zip(block, block_perm):
-                    w[slot - 1] = value
-                new_elements.append((tuple(w), sign * s))
-        elements = new_elements
-    return elements
+            inversions = sum(
+                1
+                for i in range(part)
+                for j in range(i + 1, part)
+                if block_perm[i] > block_perm[j]
+            )
+            signed.append((block_perm, -1 if inversions % 2 else 1))
+        elements = [
+            (word + block_perm, sign * s) for block_perm, s in signed for word, sign in elements
+        ]
+        start += part
+    return tuple(elements)
 
 
 def antisymmetrize(mu, p: MPoly) -> MPoly:
     """Signed sum over the Young subgroup of consecutive blocks ``mu`` of
-    the variable-permuted images of ``p``.
+    the images of ``p`` under the substitutions ``x_i -> x_{w(i)}``.
+
+    The image of ``x^e`` under ``w`` is ``x^(e o w^-1)``; the sum reads
+    ``e o w`` instead, which runs over the same terms because ``w -> w^-1``
+    is a sign-preserving bijection of the subgroup.
 
     >>> result = antisymmetrize((2,), variable(2, 1))
     >>> sorted(result.items())
     [((0, 1), -1), ((1, 0), 1)]
     """
     out: MPoly = {}
-    for w, sign in _young_subgroup(mu):
-        out = add(out, scale(apply_permutation(p, w), sign))
+    for w, sign in _young_subgroup(tuple(mu)):
+        for exp, coeff in p.items():
+            key = tuple([exp[i - 1] for i in w])
+            acc = out.get(key, 0) + sign * coeff
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
     return out
 
 
@@ -180,7 +138,8 @@ def split_exponent(exp: Exponent, positions: tuple[int, ...]) -> tuple[Exponent,
 
 def monomials_of_degree(n: int, d: int) -> list[Exponent]:
     """All exponent tuples of total degree ``d`` in ``n`` variables,
-    in decreasing lexicographic order (so ``x_1^d`` comes first)."""
+    in decreasing lexicographic order (so ``x_1^d`` comes first); none
+    when ``d`` is negative."""
     result: list[Exponent] = []
 
     def build(slot: int, remaining: int, prefix: tuple[int, ...]):
@@ -190,6 +149,8 @@ def monomials_of_degree(n: int, d: int) -> list[Exponent]:
         for e in range(remaining, -1, -1):
             build(slot + 1, remaining - e, prefix + (e,))
 
+    if d < 0:
+        return []
     if n == 0:
         return [()] if d == 0 else []
     build(0, d, ())

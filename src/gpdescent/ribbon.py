@@ -119,7 +119,7 @@ def reading_word(tup: RibbonTuple) -> Permutation:
     >>> reading_word((((1, 9), (5,), (3, 8), (6,)), ((4,), (7,)), ((2,),)))
     (6, 3, 8, 5, 7, 1, 9, 4, 2)
     """
-    top = max(len(comp) for comp in tup) - 1
+    top = max((len(comp) for comp in tup), default=0) - 1
     word = []
     for level in range(top, -1, -1):
         for comp in tup:

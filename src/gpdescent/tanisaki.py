@@ -7,13 +7,27 @@ the variables, whenever ``d`` exceeds ``|S|`` minus the sum of the last
 ``lam = (1^n)`` this is the ideal of symmetric polynomials without
 constant term, whose quotient is the coinvariant algebra.
 
-All linear algebra here is exact.  A degree slice of an ideal is spanned
-by generator-times-monomial products and handled by sparse row reduction,
-with the monomials as columns sorted largest first in the descent order.
-One order serves every purpose: dimensions and membership do not depend
-on it, and with it the non-pivot columns of a fully reduced slice are
-exactly the descent-basis monomials, which is the content of the
-verification routines.
+All linear algebra here is exact.  The quotient ``R = S / I`` is built
+one degree at a time from the two degrees below it, through the exact
+presentation
+
+    R_d = (S_1 (x) R_{d-1}) / (Koszul rows + generators of degree d),
+
+whose columns are the products ``x_i * b`` of a variable and a standard
+monomial ``b`` of degree ``d - 1``.  The Koszul complex of ``x_1..x_n`` is
+exact, so the Koszul rows ``x_i NF(x_j c) - x_j NF(x_i c)`` are all the
+relations among those products once ``S_1 I_{d-1}`` is quotiented out, and
+the degree-``d`` generators supply the rest of ``I_d``.  This needs at most
+``n * dim R_{d-1}`` columns where the ideal slice has one per monomial of
+degree ``d``.
+
+One column order serves every purpose: among the monomials of degree
+``d``, taken smallest first in the descent order, the standard ones are
+those whose class is independent of the classes of the smaller ones.
+These are exactly the non-pivot columns of the fully reduced ideal slice
+with the monomials as columns, largest first, and for the conjugate ideal
+they are the descent-basis monomials, which is the content of the
+verification routines.  Normal forms onto them are unique.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 from types import MappingProxyType
 
 from .core import (
@@ -51,7 +66,6 @@ from .polynomial import (
     MPoly,
     antisymmetrize,
     elementary_symmetric,
-    homogeneous_components,
     monomial,
     monomials_of_degree,
     mul_monomial,
@@ -129,38 +143,132 @@ def _ordered_monomials(
     return monos, MappingProxyType({exp: i for i, exp in enumerate(monos)})
 
 
-@lru_cache(maxsize=None)
-def _slice_echelon(lam: Partition, n: int, degree: int) -> Echelon:
-    """Row-reduced degree slice of the ideal of ``lam`` in ``n`` variables.
+@dataclass(frozen=True)
+class QuotientSlice:
+    """One degree of the quotient by an ideal: the standard monomials,
+    smallest first in the descent order, and the normal form of every
+    monomial of that degree, supported on the standard monomials."""
 
-    Rows are all products of a generator with a complementary-degree
-    monomial, expressed in coordinates indexed by the ordered monomial
-    list (column 0 = largest monomial).
+    standard: tuple[Exponent, ...]
+    normal_forms: Mapping[Exponent, Mapping[Exponent, Rational]]
+
+
+def _shift(exp: Exponent, i: int, delta: int) -> Exponent:
+    return exp[:i] + (exp[i] + delta,) + exp[i + 1 :]
+
+
+def _exact(value: Rational) -> Rational:
+    """An integral value as an ``int``: later products stay in integer
+    arithmetic, and integral normal forms have ``int`` coefficients."""
+    return value.numerator if value.denominator == 1 else value
+
+
+@lru_cache(maxsize=None)
+def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
+    """Degree ``degree`` of the quotient by the ideal of ``lam`` in ``n``
+    variables, built from the two degrees below it (see the module
+    docstring for why the presentation is exact).
+
+    Column ``(i, b)`` stands for ``x_i * b``.  A monomial ``m`` of this
+    degree is lifted to the columns as ``x_i NF(m / x_i)`` for the first
+    variable ``x_i`` dividing it; that is how generators enter the
+    relations, and how the monomials are walked, smallest first, to pick
+    out the standard ones.  Both eliminations are back-substituted once,
+    in integers.
     """
-    ideal = tanisaki_ideal(lam, n)
-    _, index = _ordered_monomials(n, degree)
+    monos, _ = _ordered_monomials(n, degree)
+    if degree == 0:  # no generator is a constant
+        (one,) = monos
+        return QuotientSlice(monos, MappingProxyType({one: MappingProxyType({one: 1})}))
+    below = _quotient_slice(lam, n, degree - 1)
+    column = {
+        (i, b): len(below.standard) * i + k for i in range(n) for k, b in enumerate(below.standard)
+    }
+
+    def lift(exp: Exponent) -> dict[int, Rational]:
+        i = next(k for k, e in enumerate(exp) if e)
+        return {column[i, b]: c for b, c in below.normal_forms[_shift(exp, i, -1)].items()}
+
+    relations = []
+    if degree >= 2:
+        for c in _quotient_slice(lam, n, degree - 2).standard:
+            for i, j in itertools.combinations(range(n), 2):
+                row = {column[i, b]: v for b, v in below.normal_forms[_shift(c, j, 1)].items()}
+                for b, v in below.normal_forms[_shift(c, i, 1)].items():
+                    row[column[j, b]] = -v
+                relations.append(row)
+    for subset, d in tanisaki_ideal(lam, n).generators:
+        if d == degree:
+            generator = elementary_symmetric(d, subset, n)
+            relations.append(_combine(generator, {exp: lift(exp) for exp in generator}))
     echelon = Echelon()
-    rows = []
-    for subset, d in ideal.generators:
-        if d > degree:
-            continue
-        generator = elementary_symmetric(d, subset, n)
-        for padding in monomials_of_degree(n, degree - d):
-            shifted = mul_monomial(generator, padding)
-            rows.append({index[exp]: coeff for exp, coeff in shifted.items()})
-    echelon.add_rows(rows, stop_at_rank=len(index))
-    return echelon
+    for row in sorted(relations, key=len):  # sparsest first keeps fill-in low
+        echelon.add_row(row)
+    echelon.back_substitute()
+
+    # Each column modulo the relations, on the free (non-pivot) columns.
+    free = [col for col in range(len(column)) if col not in echelon.pivot_rows]
+    modulo: dict[int, dict[int, Rational]] = {col: {col: 1} for col in free}
+    for lead, row in echelon.pivot_rows.items():
+        modulo[lead] = {
+            col: _exact(Fraction(-v, row[lead])) for col, v in row.items() if col != lead
+        }
+
+    # The standard monomials: ``span`` tests independence, and ``tagged``
+    # keeps each standard image with a tag column for its position.
+    span = Echelon()
+    tagged = Echelon()
+    standard: list[Exponent] = []
+    offset = len(column)
+    for exp in reversed(monos):
+        if len(standard) == len(free):
+            break
+        row = _combine(lift(exp), modulo)
+        if span.add_row(row):
+            row[offset + len(standard)] = 1
+            tagged.add_row(row)
+            standard.append(exp)
+
+    # A fully reduced tagged row reads ``lead * e_f = sum of tag * [s]``.
+    tagged.back_substitute()
+    class_of: dict[int, dict[Exponent, Rational]] = {}
+    for f, row in tagged.pivot_rows.items():
+        class_of[f] = {
+            standard[col - offset]: _exact(Fraction(v, row[f]))
+            for col, v in row.items()
+            if col >= offset
+        }
+    for lead in echelon.pivot_rows:
+        class_of[lead] = _combine(modulo[lead], class_of)
+
+    normal_forms = {
+        exp: MappingProxyType({b: _exact(c) for b, c in _combine(lift(exp), class_of).items()})
+        for exp in monos
+    }
+    return QuotientSlice(tuple(standard), MappingProxyType(normal_forms))
+
+
+def _combine(coefficients: Mapping, vectors: Mapping) -> dict:
+    """The linear combination ``sum c * vectors[k]`` over ``coefficients``."""
+    out: dict = {}
+    for key, c in coefficients.items():
+        for target, v in vectors[key].items():
+            value = out.get(target, 0) + c * v
+            if value:
+                out[target] = value
+            else:
+                out.pop(target, None)
+    return out
 
 
 def quotient_dimension(lam: Partition, n: int, degree: int) -> int:
-    monos, _ = _ordered_monomials(n, degree)
-    return len(monos) - _slice_echelon(lam, n, degree).rank
+    return len(_quotient_slice(lam, n, degree).standard)
 
 
 def ideal_slice_basis(lam: Partition, n: int, degree: int) -> list[MPoly]:
-    """Row-reduced spanning set of the degree slice of the ideal, as
-    polynomials, one per pivot, sorted by leading monomial (largest first
-    in the descent order) and scaled so the pivot coefficient is 1.
+    """Fully reduced basis of the degree slice of the ideal: one polynomial
+    ``m - NF(m)`` per non-standard monomial ``m``, whose leading monomial
+    in the descent order is ``m``, listed largest ``m`` first.
 
     >>> from .polynomial import poly_str
     >>> [poly_str(p) for p in ideal_slice_basis((1, 1), 2, 1)]
@@ -169,12 +277,15 @@ def ideal_slice_basis(lam: Partition, n: int, degree: int) -> list[MPoly]:
     3
     """
     monos, _ = _ordered_monomials(n, degree)
-    echelon = _slice_echelon(lam, n, degree)
+    quotient = _quotient_slice(lam, n, degree)
+    standard = set(quotient.standard)
     rows = []
-    for lead in sorted(echelon.pivot_rows):
-        row = echelon.pivot_rows[lead]
-        pivot = Fraction(row[lead])
-        rows.append({monos[col]: c / pivot for col, c in row.items()})
+    for exp in monos:
+        if exp not in standard:
+            row = {exp: 1}
+            for b, c in quotient.normal_forms[exp].items():
+                row[b] = -c
+            rows.append(row)
     return rows
 
 
@@ -186,7 +297,8 @@ def ideal_member(lam: Partition, n: int, p: MPoly) -> bool:
 def hilbert_series(lam: Partition, bound: int = DEFAULT_BOUND) -> TPoly:
     """Graded dimensions of the quotient by the ideal of ``lam``.
 
-    Degrees ``0 .. n(lam)`` are computed by exact rank; the degrees sum to
+    Degree ``d`` counts the standard monomials of the quotient slice
+    (:func:`_quotient_slice`), for ``d`` in ``0 .. n(lam)``; they sum to
     the multinomial coefficient in the parts of ``lam`` (the quotient is
     zero above ``n(lam)``), and a mismatch raises.
 
@@ -253,14 +365,12 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
     basis_ok = True
     leading_ok = True
     for degree in range(top + 1):
-        monos, _ = _ordered_monomials(n, degree)
-        echelon = _slice_echelon(target_ideal, n, degree)
-        pivots = {monos[i] for i in echelon.pivot_columns()}
+        standard = set(_quotient_slice(target_ideal, n, degree).standard)
         descent_monos = by_degree.get(degree, set())
-        dims[degree] = len(monos) - echelon.rank
-        if dims[degree] != len(descent_monos) or pivots & descent_monos:
+        dims[degree] = len(standard)
+        if dims[degree] != len(descent_monos) or not descent_monos <= standard:
             basis_ok = False
-        if pivots != set(monos) - descent_monos:
+        if standard != descent_monos:
             leading_ok = False
     if sum(dims.values()) != multinomial(lam):
         basis_ok = False
@@ -273,19 +383,12 @@ def verify_leading_terms(lam: Partition, bound: int = DEFAULT_BOUND) -> bool:
     return verify_descent_basis(lam, bound).leading_terms_ok
 
 
-def _quotient_normal_form(
-    lam_ideal: Partition, n: int, p: MPoly
-) -> dict[Exponent, Fraction]:
-    """Reduce ``p`` modulo the ideal, degree by degree, in the descent
-    order; the result is supported on non-pivot (descent basis) monomials."""
-    result: dict[Exponent, Fraction] = {}
-    for degree, component in homogeneous_components(p).items():
-        monos, index = _ordered_monomials(n, degree)
-        row = {index[exp]: coeff for exp, coeff in component.items()}
-        reduced = _slice_echelon(lam_ideal, n, degree).reduce(row)
-        for col, coeff in reduced.items():
-            result[monos[col]] = coeff
-    return result
+def _quotient_normal_form(lam_ideal: Partition, n: int, p: MPoly) -> MPoly:
+    """Reduce ``p`` modulo the ideal: the sum of the tabulated normal forms
+    of its monomials, supported on the standard (descent basis) monomials."""
+    return _combine(
+        p, {exp: _quotient_slice(lam_ideal, n, sum(exp)).normal_forms[exp] for exp in p}
+    )
 
 
 def descent_normal_form(p: MPoly, k: int) -> MPoly:

@@ -210,3 +210,28 @@ def test_default_verify_skips_phi_above_its_bound(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "2,2,1", "--checks", "basis,phi")
     assert code == 3  # explicit request above the bound is an error
+
+
+def test_hall_littlewood_empty_shape(capsys):
+    # n = 0: both routes give the single coefficient m[] = 1
+    code, out, _ = run(capsys, "hall-littlewood", "")
+    assert code == 0
+    assert out.splitlines() == [
+        "# route: descents",
+        '{"mu": [], "coeffs": {"0": 1}}',
+        "# route: ribbons",
+        '{"mu": [], "coeffs": {"0": 1}}',
+        "# routes agree",
+    ]
+
+
+def test_enumerate_empty_shape_counts_one(capsys):
+    # n = 0: every kind has one (empty) element, matching the multinomial
+    for kind in ("D", "Jmaj", "R0", "PF0"):
+        code, out, _ = run(capsys, "enumerate", kind, "")
+        lines = out.strip().splitlines()
+        assert code == 0
+        assert len(lines) == 2, kind
+        assert json.loads(lines[-1]) == {"count": 1, "multinomial": 1}, kind
+    _, out, _ = run(capsys, "enumerate", "PF0", "")
+    assert json.loads(out.splitlines()[0]) == {"area": [], "labels": []}

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from gpdescent.core import conjugate, multinomial, n_stat, partitions
 from gpdescent.descent import descent_key
 from gpdescent.linalg import Echelon, clear_denominators, matrix_rank
 from gpdescent.polynomial import (
+    _young_subgroup,
     antisymmetrize,
     elementary_symmetric,
     monomial,
@@ -18,6 +21,8 @@ from gpdescent.polynomial import (
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
 from gpdescent.tanisaki import (
     ResourceBoundError,
+    _quotient_normal_form,
+    _quotient_slice,
     antisymmetrized_extreme_exponents,
     descent_normal_form,
     hilbert_series,
@@ -180,6 +185,91 @@ def test_quotient_dimension_matches_lex_order_rank():
                     for padding in monomials_of_degree(n, degree - d)
                 ]
                 assert len(monos) - matrix_rank(rows) == quotient_dimension(lam, n, degree)
+
+
+def _full_slice_echelon(lam, n, degree):
+    """The full-slice oracle: every generator times every monomial of the
+    complementary degree, in descent-order columns (column 0 = largest
+    monomial), fully reduced.  Rows go in smallest leading monomial first,
+    which is several times faster here than largest first."""
+    monos = sorted(monomials_of_degree(n, degree), key=descent_key, reverse=True)
+    col = {exp: i for i, exp in enumerate(monos)}
+    rows = [
+        {col[exp]: c for exp, c in mul_monomial(elementary_symmetric(d, subset, n), padding).items()}
+        for subset, d in tanisaki_ideal(lam, n).generators
+        if d <= degree
+        for padding in monomials_of_degree(n, degree - d)
+    ]
+    echelon = Echelon()
+    for row in sorted(rows, key=min, reverse=True):
+        echelon.add_row(row)
+        if echelon.rank == len(monos):
+            break
+    echelon.back_substitute()
+    return monos, col, echelon
+
+
+def test_quotient_slice_matches_full_slice_oracle():
+    # the standard monomials are the non-pivot columns of the reduced full
+    # slice, and every normal form is the oracle's reduction
+    for n in range(1, 6):
+        for lam in partitions(n):
+            for degree in range(n_stat(lam) + 2):
+                monos, col, echelon = _full_slice_echelon(lam, n, degree)
+                free = [exp for exp in reversed(monos) if col[exp] not in echelon.pivot_rows]
+                assert _quotient_slice(lam, n, degree).standard == tuple(free), (lam, degree)
+                for exp in monos:
+                    reduced = echelon.reduce({col[exp]: 1})
+                    nf = _quotient_normal_form(lam, n, {exp: 1})
+                    assert {monos[c]: v for c, v in reduced.items()} == nf, (lam, degree, exp)
+                    # every normal form here is integral, with int coefficients
+                    assert all(type(c) is int for c in nf.values())
+
+
+def test_back_substitute_keeps_the_row_space():
+    rng = random.Random(7)
+    for _ in range(20):
+        rows = [
+            {col: rng.randint(-3, 3) for col in rng.sample(range(8), rng.randint(1, 5))}
+            for _ in range(rng.randint(1, 7))
+        ]
+        e = Echelon()
+        e.add_rows(rows)
+        before = [e.reduce({col: 1}) for col in range(8)]
+        pivots = set(e.pivot_rows)
+        e.back_substitute()
+        assert set(e.pivot_rows) == pivots
+        for lead, row in e.pivot_rows.items():
+            assert row[lead] > 0
+            assert not any(col in pivots for col in row if col != lead)
+        assert [e.reduce({col: 1}) for col in range(8)] == before
+
+
+def test_cached_values_are_immutable():
+    quotient = _quotient_slice((1, 1, 1), 3, 2)
+    assert type(quotient.standard) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        quotient.standard = ()
+    with pytest.raises(TypeError):
+        quotient.normal_forms[(2, 0, 0)] = {}
+    with pytest.raises(TypeError):
+        quotient.normal_forms[(2, 0, 0)][(0, 1, 1)] = 1
+    group = _young_subgroup((2, 1))
+    assert group is _young_subgroup((2, 1))
+    assert type(group) is tuple and all(type(w) is tuple for w, _ in group)
+
+
+def test_young_subgroup_elements_and_signs():
+    assert sorted(_young_subgroup((2, 1))) == [((1, 2, 3), 1), ((2, 1, 3), -1)]
+    group = _young_subgroup((3, 2))
+    assert len(group) == 12 and len({w for w, _ in group}) == 12
+    assert sum(sign for _, sign in group) == 0
+
+
+def test_monomials_of_negative_degree():
+    for n in range(5):
+        assert monomials_of_degree(n, -1) == []
+        assert monomials_of_degree(n, -3) == []
 
 
 def test_polynomial_coefficients_are_int():
