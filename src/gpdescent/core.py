@@ -155,28 +155,43 @@ def value_blocks(mu: Composition) -> list[range]:
     return blocks
 
 
+def inverse_descent_set(word: Permutation) -> frozenset[int]:
+    """Values ``v`` such that ``v + 1`` stands to the left of ``v`` in ``word``:
+    the descent set of the inverse permutation (Gessel's iDes).
+
+    >>> sorted(inverse_descent_set((3, 1, 4, 2)))
+    [2]
+    """
+    pos = {v: i for i, v in enumerate(word)}
+    return frozenset(v for v in range(1, len(word)) if pos[v + 1] < pos[v])
+
+
+def block_interior(mu: Composition) -> frozenset[int]:
+    """Values ``v`` such that ``v`` and ``v + 1`` share a block of
+    :func:`value_blocks`; for a composition of ``n`` these are the values
+    ``1..n-1`` that are not partial sums of ``mu``.
+
+    >>> sorted(block_interior((3, 2)))
+    [1, 2, 4]
+    """
+    return frozenset(v for block in value_blocks(mu) for v in block[:-1])
+
+
 def is_shuffle(sigma: Permutation, mu: Composition) -> bool:
     """Membership test for the minimal coset representatives of type ``mu``.
 
     ``sigma`` is a mu-shuffle when the values of each consecutive block
-    ``{1..mu_1}, {mu_1+1..mu_1+mu_2}, ...`` appear in increasing order.
+    ``{1..mu_1}, {mu_1+1..mu_1+mu_2}, ...`` appear in increasing order, that
+    is, when its inverse descent set avoids the block interiors (lies inside
+    the partial sums of ``mu``).
     """
-    pos = {v: i for i, v in enumerate(sigma)}
-    for block in value_blocks(mu):
-        for v in block[:-1]:
-            if pos[v] > pos[v + 1]:
-                return False
-    return True
+    return inverse_descent_set(sigma).isdisjoint(block_interior(mu))
 
 
 def is_reverse_shuffle(sigma: Permutation, mu: Composition) -> bool:
-    """Like :func:`is_shuffle` but each block must appear in decreasing order."""
-    pos = {v: i for i, v in enumerate(sigma)}
-    for block in value_blocks(mu):
-        for v in block[:-1]:
-            if pos[v] < pos[v + 1]:
-                return False
-    return True
+    """Like :func:`is_shuffle` but each block must appear in decreasing
+    order: the inverse descent set contains every block interior."""
+    return block_interior(mu) <= inverse_descent_set(sigma)
 
 
 def _arrangements(mu: Composition, reverse: bool) -> list[Permutation]:

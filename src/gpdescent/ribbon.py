@@ -189,6 +189,17 @@ def ribbon_to_parking(tup: RibbonTuple) -> ParkingFunction:
     return ParkingFunction(tuple(area_seq), tuple(labels))
 
 
+def _settled(y: int, h: int, row: tuple[int, ...], below: tuple[int, ...]) -> bool:
+    """Whether the later cell ``y`` at height ``h`` meets an earlier
+    component as minimality asks, given that component's rows at heights
+    ``h`` and ``h - 1`` (empty where it has none): the pair count
+    ``#{x > y in row} + #{x < y in below}`` is 1 above the bottom row and
+    0 in it.
+    """
+    count = sum(1 for x in row if x > y) + sum(1 for x in below if x < y)
+    return count == (1 if h > 0 else 0)
+
+
 def is_minimal(tup: RibbonTuple) -> bool:
     """Minimality: every cell of a later component is in exactly one dinv
     pair with each earlier component if it sits above the bottom row, and
@@ -196,16 +207,11 @@ def is_minimal(tup: RibbonTuple) -> bool:
     """
     for j, comp_j in enumerate(tup):
         for h, row_j in enumerate(comp_j):
-            for y in row_j:
-                for i in range(j):
-                    comp_i = tup[i]
-                    count = 0
-                    if h < len(comp_i):
-                        count += sum(1 for x in comp_i[h] if x > y)
-                    if h >= 1 and h - 1 < len(comp_i):
-                        count += sum(1 for x in comp_i[h - 1] if x < y)
-                    if count != (1 if h > 0 else 0):
-                        return False
+            for comp_i in tup[:j]:
+                row = comp_i[h] if h < len(comp_i) else ()
+                below = comp_i[h - 1] if 0 < h <= len(comp_i) else ()
+                if not all(_settled(y, h, row, below) for y in row_j):
+                    return False
     return True
 
 
@@ -259,10 +265,68 @@ def ribbon_tuples(lam: Partition) -> Iterator[RibbonTuple]:
 def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     """The minimal tuples of shape ``lam``, sorted by height vector.
 
+    A depth-first search that only ever extends partial tuples that can
+    still be minimal, instead of filtering all ``n!`` ribbon tuples with
+    :func:`is_minimal`.  Components are placed last to first, and each
+    component's rows bottom up from the entries still free, keeping every
+    row valid (its largest entry tops the smallest entry of the row below).
+    Choosing row ``r`` of component ``i`` settles the pair count with ``i``
+    of every already placed later cell ``y`` at height ``r``
+    (:func:`_settled`, the rule :func:`is_minimal` checks):
+    ``#{x > y in row r} + #{x < y in row r-1}`` must be 1 if ``r > 0`` and
+    0 if ``r == 0``.  When component ``i`` closes with top row ``H``, the
+    later cells above it are settled the same way against its empty rows:
+    one at height ``H + 1`` needs exactly one ``x < y`` in row ``H``, and
+    one at height ``H + 2`` or more rejects the branch.
+
     >>> len(minimal_ribbon_tuples((3, 1)))
     12
+    >>> minimal_ribbon_tuples(())
+    ((),)
     """
-    found = [tup for tup in ribbon_tuples(lam) if is_minimal(tup)]
+    parts = tuple(p for p in lam if p > 0)
+    if not parts:
+        return ((),)
+    found: list[RibbonTuple] = []
+
+    def extend(
+        i: int, free: tuple, rows: list, left: int, placed: RibbonTuple, later: list
+    ) -> None:
+        # ``rows``: the rows of component i chosen so far, ``left`` cells to go;
+        # ``placed``: components i+1..; ``later[h]``: their entries at height h.
+        r = len(rows)
+        if left == 0:
+            if not all(
+                _settled(y, h, (), rows[-1] if h == r else ())
+                for h in range(r, len(later))
+                for y in later[h]
+            ):
+                return
+            placed = (tuple(rows),) + placed
+            if i == 0:
+                found.append(placed)
+                return
+            merged = [
+                (later[h] if h < len(later) else ()) + (rows[h] if h < r else ())
+                for h in range(max(len(later), r))
+            ]
+            extend(i - 1, free, [], parts[i - 1], placed, merged)
+            return
+        below = rows[-1] if rows else ()
+        cells = later[r] if r < len(later) else ()
+        for size in range(1, left + 1):
+            for chosen in itertools.combinations(free, size):
+                if rows and chosen[-1] <= below[0]:
+                    continue
+                if not all(_settled(y, r, chosen, below) for y in cells):
+                    continue
+                rows.append(chosen)
+                rest = tuple(v for v in free if v not in chosen)
+                extend(i, rest, rows, left - size, placed, later)
+                rows.pop()
+
+    k = len(parts) - 1
+    extend(k, tuple(range(1, sum(parts) + 1)), [], parts[k], (), [])
     return tuple(sorted(found, key=height_vector))
 
 
@@ -490,7 +554,10 @@ def check_patterns(tup: RibbonTuple) -> list[str]:
 
 
 def render(tup: RibbonTuple, gap: int = 1) -> str:
-    """ASCII layout mirroring the stored geometry, components left to right."""
+    """ASCII layout mirroring the stored geometry, components left to right;
+    the empty tuple renders as the empty string."""
+    if not tup:
+        return ""
     n = sum(component_sizes(tup))
     width = len(str(n))
     coords = cell_coordinates(tup, gap)

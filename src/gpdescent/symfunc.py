@@ -15,6 +15,13 @@ polynomial:
   ``lam`` whose reading word is a (reverse) shuffle of type ``mu``, and
   produces the polynomial indexed by ``lam'``.
 
+Both routes group their items once by the inverse descent set of the word
+(Gessel's fundamental quasisymmetric expansion): a word is a ``mu``-shuffle
+exactly when its inverse descent set avoids the block interiors of ``mu``
+(lies inside the partial sums of ``mu``), and a reverse ``mu``-shuffle
+exactly when it contains them.  Each ``m_mu`` coefficient is then a sum over
+at most ``2^(n-1)`` classes instead of a membership test per item.
+
 Both indexings follow the convention that ``hall_littlewood_by_descents(lam)``
 returns the expansion of the polynomial indexed by ``lam`` itself, so the
 cross-check is ``hall_littlewood_by_descents(conjugate(lam)) ==
@@ -23,15 +30,17 @@ hall_littlewood_by_ribbons(lam)``.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from functools import lru_cache
+from types import MappingProxyType
 
 from .core import (
     Partition,
+    block_interior,
     check_partition,
     conjugate,
     dominates,
-    is_reverse_shuffle,
-    is_shuffle,
+    inverse_descent_set,
     n_stat,
     partitions,
 )
@@ -42,6 +51,9 @@ from .ribbon import area, minimal_ribbon_tuples, reading_word
 class TPoly:
     """Sparse integer polynomial in one variable ``t``.
 
+    ``coeffs`` is a read-only mapping, so a cached value cannot be altered
+    through a caller's reference.
+
     >>> TPoly({0: 1, 1: 2}) + TPoly({1: -2, 3: 5})
     TPoly({0: 1, 3: 5})
     >>> TPoly.monomial(2) * TPoly({0: 1, 1: 1})
@@ -51,7 +63,7 @@ class TPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {d: c for d, c in (coeffs or {}).items() if c != 0}
+        self.coeffs = MappingProxyType({d: c for d, c in (coeffs or {}).items() if c != 0})
 
     @classmethod
     def zero(cls) -> "TPoly":
@@ -154,19 +166,30 @@ def q_factorial(n: int) -> TPoly:
 
 
 def _expansion(n: int, items, statistic, word_of) -> tuple[SymExpansion, SymExpansion]:
-    """Group t^statistic by shuffle and reverse-shuffle type simultaneously."""
-    plain: dict[Partition, dict[int, int]] = {mu: {} for mu in partitions(n)}
-    twisted: dict[Partition, dict[int, int]] = {mu: {} for mu in partitions(n)}
+    """Group t^statistic by shuffle and reverse-shuffle type simultaneously.
+
+    One pass tallies the statistic per inverse descent set of the word; the
+    ``m_mu`` coefficient then sums the classes that avoid (plain) or contain
+    (twisted) the block interiors of ``mu``.
+    """
+    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
     for item in items:
-        degree = statistic(item)
-        word = word_of(item)
-        for mu in plain:
-            if is_shuffle(word, mu):
-                plain[mu][degree] = plain[mu].get(degree, 0) + 1
-            if is_reverse_shuffle(word, mu):
-                twisted[mu][degree] = twisted[mu].get(degree, 0) + 1
-    make = lambda raw: {mu: TPoly(c) for mu, c in raw.items() if any(c.values())}
-    return make(plain), make(twisted)
+        classes[inverse_descent_set(word_of(item))][statistic(item)] += 1
+    plain: SymExpansion = {}
+    twisted: SymExpansion = {}
+    for mu in partitions(n):
+        interior = block_interior(mu)
+        plain_mu, twisted_mu = Counter(), Counter()
+        for ides, tally in classes.items():
+            if ides.isdisjoint(interior):
+                plain_mu.update(tally)
+            if interior <= ides:
+                twisted_mu.update(tally)
+        if plain_mu:
+            plain[mu] = TPoly(plain_mu)
+        if twisted_mu:
+            twisted[mu] = TPoly(twisted_mu)
+    return plain, twisted
 
 
 @lru_cache(maxsize=None)

@@ -235,3 +235,10 @@ def test_enumerate_empty_shape_counts_one(capsys):
         assert json.loads(lines[-1]) == {"count": 1, "multinomial": 1}, kind
     _, out, _ = run(capsys, "enumerate", "PF0", "")
     assert json.loads(out.splitlines()[0]) == {"area": [], "labels": []}
+
+
+def test_enumerate_empty_ribbon_table(capsys):
+    # the empty tuple renders as an empty picture
+    code, out, err = run(capsys, "--format", "table", "enumerate", "R0", "")
+    assert code == 0, err
+    assert out == "\n\ncount: 1 (multinomial 1)\n"

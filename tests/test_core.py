@@ -4,8 +4,10 @@ from math import factorial
 import pytest
 
 from gpdescent.core import (
+    block_interior,
     conjugate,
     dominates,
+    inverse_descent_set,
     is_partition,
     is_reverse_shuffle,
     is_shuffle,
@@ -165,6 +167,27 @@ def test_shuffle_membership_agrees_with_enumeration():
         members = set(shuffles(mu))
         for sigma in permutations(4):
             assert is_shuffle(sigma, mu) == (sigma in members)
+
+
+def test_shuffle_tests_agree_with_enumeration_up_to_5():
+    # every composition of n <= 5, zero parts included, against the
+    # enumerated (reverse) shuffles; the tests read only the inverse descent set
+    for n in range(6):
+        for typ in itertools.product(range(n + 1), repeat=3):
+            if sum(typ) != n:
+                continue
+            members, reverse_members = set(shuffles(typ)), set(reverse_shuffles(typ))
+            assert block_interior(typ) == frozenset(range(1, n)) - {typ[0], typ[0] + typ[1]}
+            for sigma in permutations(n):
+                assert is_shuffle(sigma, typ) == (sigma in members)
+                assert is_reverse_shuffle(sigma, typ) == (sigma in reverse_members)
+
+
+def test_inverse_descent_set():
+    assert inverse_descent_set(()) == frozenset()
+    assert inverse_descent_set((1, 2, 3)) == frozenset()
+    assert inverse_descent_set((3, 2, 1)) == {1, 2}
+    assert inverse_descent_set((2, 4, 1, 3)) == {1, 3}
 
 
 def test_dominance():

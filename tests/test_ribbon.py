@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from gpdescent.core import multinomial, n_stat, partitions
@@ -119,6 +121,22 @@ def test_minimal_counts():
     for n in range(1, 7):
         for lam in partitions(n):
             assert len(minimal_ribbon_tuples(lam)) == multinomial(lam)
+
+
+def test_minimal_ribbon_tuples_match_brute_force():
+    # the pruned search against filtering all n! tuples, order included
+    for n in range(8):
+        for lam in partitions(n):
+            expected = sorted(filter(is_minimal, ribbon_tuples(lam)), key=height_vector)
+            assert minimal_ribbon_tuples(lam) == tuple(expected), lam
+    assert minimal_ribbon_tuples(()) == ((),)
+    # component sizes in any order: unlike partition shapes, these have
+    # branches that only the rejection of a later cell two or more rows
+    # above an earlier component's top removes
+    for n in range(1, 7):
+        for sizes in {order for lam in partitions(n) for order in itertools.permutations(lam)}:
+            expected = sorted(filter(is_minimal, ribbon_tuples(sizes)))
+            assert sorted(minimal_ribbon_tuples(sizes)) == expected, sizes
 
 
 def test_minimality_is_argmin_up_to_6():

@@ -1,7 +1,10 @@
 from collections import Counter
 
-from gpdescent.core import conjugate, multinomial, partitions, permutations
-from gpdescent.descent import maj
+import pytest
+
+from gpdescent.core import conjugate, multinomial, partitions, permutations, value_blocks
+from gpdescent.descent import j_maj, maj
+from gpdescent.ribbon import area, minimal_ribbon_tuples, reading_word
 from gpdescent.symfunc import (
     TPoly,
     dominance_support_check,
@@ -140,3 +143,67 @@ def test_expansion_diff():
     b = hall_littlewood_by_descents((3,))
     assert expansion_diff(a, a) == {}
     assert expansion_diff(a, b)
+
+
+def _in_blocks(word, mu, reverse):
+    # positional definition: each block of values appears in increasing
+    # (reverse: decreasing) order
+    pos = {v: i for i, v in enumerate(word)}
+    for block in value_blocks(mu):
+        for v in block[:-1]:
+            if (pos[v] < pos[v + 1]) == reverse:
+                return False
+    return True
+
+
+def _shuffle_oracle(n, items, statistic, word_of):
+    # one membership test per item and partition
+    plain = {mu: Counter() for mu in partitions(n)}
+    twisted = {mu: Counter() for mu in partitions(n)}
+    for item in items:
+        degree, word = statistic(item), word_of(item)
+        for mu in plain:
+            if _in_blocks(word, mu, reverse=False):
+                plain[mu][degree] += 1
+            if _in_blocks(word, mu, reverse=True):
+                twisted[mu][degree] += 1
+    make = lambda raw: {mu: TPoly(dict(c)) for mu, c in raw.items() if c}
+    return make(plain), make(twisted)
+
+
+def test_expansion_matches_shuffle_oracle():
+    for n in range(8):
+        for lam in partitions(n):
+            plain, twisted = _shuffle_oracle(n, j_maj(conjugate(lam)), maj, lambda w: w)
+            assert hall_littlewood_by_descents(lam) == plain
+            assert hall_littlewood_omega_by_descents(lam) == twisted
+            plain, twisted = _shuffle_oracle(n, minimal_ribbon_tuples(lam), area, reading_word)
+            assert hall_littlewood_by_ribbons(lam) == plain
+            assert hall_littlewood_by_ribbons(lam, twisted=True) == twisted
+
+
+def test_routes_agree_at_7():
+    for lam in partitions(7):
+        assert expansions_equal(
+            hall_littlewood_by_descents(conjugate(lam)),
+            hall_littlewood_by_ribbons(lam),
+        )
+        assert expansions_equal(
+            hall_littlewood_omega_by_descents(conjugate(lam)),
+            hall_littlewood_by_ribbons(lam, twisted=True),
+        )
+
+
+def test_cached_expansions_are_read_only():
+    for expand in (
+        hall_littlewood_by_descents,
+        hall_littlewood_omega_by_descents,
+        hall_littlewood_by_ribbons,
+    ):
+        first = expand((2, 1))
+        expected = {mu: TPoly(dict(coeff.coeffs)) for mu, coeff in first.items()}
+        for coeff in first.values():
+            with pytest.raises(TypeError):
+                coeff.coeffs[0] = 99
+        first.clear()  # the returned dict itself is the caller's copy
+        assert expand((2, 1)) == expected
