@@ -38,7 +38,7 @@ from .descent import (
     majt_inverse,
 )
 from .parking import ParkingFunction, minimal_parking_functions, parking_functions
-from .ribbon import minimal_ribbon_tuples, reconstruct, ribbon_tuples
+from .ribbon import minimal_ribbon_tuples, reconstruct, ribbon_tuples, verify_minimal_ribbons
 from .symfunc import (
     TPoly,
     hall_littlewood_by_descents,

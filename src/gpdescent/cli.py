@@ -13,11 +13,10 @@ import os
 import sys
 
 from . import descent, parking, ribbon, symfunc, tanisaki
-from .core import check_partition, check_permutation, conjugate, multinomial, n_stat, partitions
+from .core import check_partition, check_permutation, conjugate, multinomial, partitions
 
 ENV_BOUND = "GPDESCENT_N_BOUND"
 ENUM_BOUND = 7
-LINALG_BOUND = 6
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -35,11 +34,12 @@ def parse_ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def default_bound(fallback: int) -> int:
+def resolve_bound(args, default: int) -> int:
+    """The size bound: ``--n-bound``, then ``GPDESCENT_N_BOUND``, then ``default``."""
+    if args.n_bound is not None:
+        return args.n_bound
     value = os.environ.get(ENV_BOUND)
-    if value is not None:
-        return int(value)
-    return fallback
+    return int(value) if value is not None else default
 
 
 def cmd_stats(args) -> int:
@@ -63,10 +63,7 @@ def cmd_stats(args) -> int:
 
 def cmd_enumerate(args) -> int:
     lam = check_partition(parse_ints(args.partition))
-    bound = args.n_bound if args.n_bound is not None else default_bound(ENUM_BOUND)
-    if sum(lam) > bound:
-        print(f"error: n = {sum(lam)} exceeds bound {bound}", file=sys.stderr)
-        return EXIT_BOUND
+    tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
     emit = (lambda obj: print(json.dumps(obj))) if args.format == "json" else (
         lambda obj: print(obj)
     )
@@ -116,10 +113,7 @@ def _print_expansion(expansion, fmt: str) -> None:
 
 def cmd_hall_littlewood(args) -> int:
     lam = check_partition(parse_ints(args.partition))
-    bound = args.n_bound if args.n_bound is not None else default_bound(ENUM_BOUND)
-    if sum(lam) > bound:
-        print(f"error: n = {sum(lam)} exceeds bound {bound}", file=sys.stderr)
-        return EXIT_BOUND
+    tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
     routes = {}
     if args.route in ("descents", "both"):
         routes["descents"] = (
@@ -148,7 +142,7 @@ def cmd_hall_littlewood(args) -> int:
 
 def cmd_verify(args) -> int:
     lam = check_partition(parse_ints(args.partition))
-    bound = args.n_bound if args.n_bound is not None else default_bound(LINALG_BOUND)
+    bound = resolve_bound(args, tanisaki.DEFAULT_BOUND)
     checks = args.checks.split(",") if args.checks else CHECKS
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
@@ -157,48 +151,35 @@ def cmd_verify(args) -> int:
         )
     results = {}
     document = {"lambda": list(lam)}
-    try:
-        if "basis" in checks or "leading" in checks:
-            report = tanisaki.verify_descent_basis(lam, bound=bound)
-        if "basis" in checks:
-            results["basis"] = report.basis_ok
-            document.update(report.to_json_dict())
-        if "leading" in checks:
-            results["leading"] = report.leading_terms_ok
-            document["leading_terms_ok"] = results["leading"]
-        if "parabolic" in checks:
-            ok = True
-            cases = []
-            for mu in partitions(sum(lam)):
-                report = tanisaki.verify_parabolic_basis(lam, mu, bound=bound)
-                cases.append(report.to_json_dict())
-                ok = ok and report.ok
-            results["parabolic"] = ok
-            document["parabolic"] = cases
-        if "phi" in checks:
-            # the splitting-map check has its own smaller default bound;
-            # skip it quietly when it was only implied by the default set
-            phi_bound = args.n_bound if args.n_bound is not None else tanisaki.PHI_BOUND
-            if sum(lam) > phi_bound and args.checks is None:
-                document["phi_injective_ok"] = "skipped"
-            else:
-                results["phi"] = tanisaki.verify_phi_injective(lam, bound=phi_bound)
-                document["phi_injective_ok"] = results["phi"]
-        if "minimal-ribbons" in checks:
-            tuples = list(ribbon.ribbon_tuples(lam))
-            values = [ribbon.dinv(t) + ribbon.doff(t) for t in tuples]
-            argmin = {t for t, v in zip(tuples, values) if v == min(values)}
-            structural = set(ribbon.minimal_ribbon_tuples(lam))
-            ok = (
-                min(values) == n_stat(lam)
-                and argmin == structural
-                and len(structural) == multinomial(lam)
-            )
-            results["minimal-ribbons"] = ok
-            document["minimal_ribbons_ok"] = ok
-    except tanisaki.ResourceBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
+    if "basis" in checks or "leading" in checks:
+        report = tanisaki.verify_descent_basis(lam, bound=bound)
+    if "basis" in checks:
+        results["basis"] = report.basis_ok
+        document.update(report.to_json_dict())
+    if "leading" in checks:
+        results["leading"] = report.leading_terms_ok
+        document["leading_terms_ok"] = results["leading"]
+    if "parabolic" in checks:
+        ok = True
+        cases = []
+        for mu in partitions(sum(lam)):
+            report = tanisaki.verify_parabolic_basis(lam, mu, bound=bound)
+            cases.append(report.to_json_dict())
+            ok = ok and report.ok
+        results["parabolic"] = ok
+        document["parabolic"] = cases
+    if "phi" in checks:
+        # the splitting-map check has its own smaller default bound;
+        # skip it quietly when it was only implied by the default set
+        phi_bound = args.n_bound if args.n_bound is not None else tanisaki.PHI_BOUND
+        if sum(lam) > phi_bound and args.checks is None:
+            document["phi_injective_ok"] = "skipped"
+        else:
+            results["phi"] = tanisaki.verify_phi_injective(lam, bound=phi_bound)
+            document["phi_injective_ok"] = results["phi"]
+    if "minimal-ribbons" in checks:
+        results["minimal-ribbons"] = ribbon.verify_minimal_ribbons(lam)
+        document["minimal_ribbons_ok"] = results["minimal-ribbons"]
     document["checks"] = results
     print(json.dumps(document))
     if not all(results.values()):
@@ -224,7 +205,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--n-bound",
         type=int,
         default=default(None),
-        help=f"size guard (default {LINALG_BOUND} for linear algebra, "
+        help=f"size guard (default {tanisaki.DEFAULT_BOUND} for linear algebra, "
         f"{ENUM_BOUND} for enumeration; env {ENV_BOUND} overrides)",
     )
 

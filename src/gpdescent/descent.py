@@ -304,17 +304,3 @@ class DescentBasisElement(NamedTuple):
     @classmethod
     def from_exponent(cls, a: Composition) -> "DescentBasisElement":
         return cls(tuple(a), majt_inverse(a), sum(a))
-
-
-def descent_monomial(sigma: Permutation) -> Composition:
-    """Exponent vector of the descent monomial: the product over descent
-    positions ``i`` of ``x_{sigma_1} ... x_{sigma_i}``.  Equals ``majt``.
-    """
-    return majt(sigma)
-
-
-def artin_monomial(sigma: Permutation) -> Composition:
-    """Exponent vector of the Artin-type monomial, one factor ``x_j`` per
-    inversion pair with smaller value ``j``.  Equals ``invt``.
-    """
-    return invt(sigma)

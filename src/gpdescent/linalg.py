@@ -85,10 +85,9 @@ class Echelon:
             work = _eliminate(work, pivot, lead)
         return False
 
-    def add_rows(self, rows, stop_at_rank: int | None = None) -> int:
+    def add_rows(self, rows) -> int:
         """Insert rows in turn (sorted by leading column first, which keeps
-        elimination chains short); stops early when the target rank is hit.
-        """
+        elimination chains short) and return the rank."""
         pending = [
             {col: c for col, c in row.items() if c} for row in rows
         ]
@@ -96,8 +95,6 @@ class Echelon:
         pending.sort(key=min)
         for row in pending:
             self.add_row(row)
-            if stop_at_rank is not None and self.rank >= stop_at_rank:
-                break
         return self.rank
 
     def back_substitute(self) -> None:

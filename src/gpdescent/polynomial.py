@@ -157,7 +157,7 @@ def monomials_of_degree(n: int, d: int) -> list[Exponent]:
     return result
 
 
-def poly_str(p: MPoly, names: list[str] | None = None) -> str:
+def poly_str(p: MPoly) -> str:
     """Human-readable form with variables named x1, x2, ..."""
     if not p:
         return "0"

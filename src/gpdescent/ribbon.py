@@ -36,6 +36,8 @@ from .core import (
     Composition,
     Partition,
     Permutation,
+    multinomial,
+    n_stat,
     ordered_set_partitions,
 )
 from .parking import ParkingFunction
@@ -328,6 +330,23 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     k = len(parts) - 1
     extend(k, tuple(range(1, sum(parts) + 1)), [], parts[k], (), [])
     return tuple(sorted(found, key=height_vector))
+
+
+def verify_minimal_ribbons(lam: Partition) -> bool:
+    """Check :func:`minimal_ribbon_tuples` by brute force over all ribbon
+    tuples of shape ``lam``: the minimum of ``dinv + doff`` is ``n(lam)``,
+    the tuples attaining it are exactly the minimal tuples, and there are
+    as many of them as the multinomial coefficient.
+
+    >>> verify_minimal_ribbons((2, 1))
+    True
+    """
+    tuples = list(ribbon_tuples(lam))
+    values = [dinv(t) + doff(t) for t in tuples]
+    least = min(values)
+    argmin = {t for t, v in zip(tuples, values) if v == least}
+    structural = set(minimal_ribbon_tuples(lam))
+    return least == n_stat(lam) and argmin == structural and len(structural) == multinomial(lam)
 
 
 def algorithm_sequence(a: Composition, lam: Partition) -> tuple[tuple[int, ...], ...]:

@@ -27,7 +27,10 @@ those whose class is independent of the classes of the smaller ones.
 These are exactly the non-pivot columns of the fully reduced ideal slice
 with the monomials as columns, largest first, and for the conjugate ideal
 they are the descent-basis monomials, which is the content of the
-verification routines.  Normal forms onto them are unique.
+verification routines.  Normal forms onto them are unique.  One
+elimination both picks them out and expresses the quotient in them: each
+walked monomial enters with a tag column of its own, and it is standard
+exactly when its reduced row still has a pivot left of the tags.
 """
 
 from __future__ import annotations
@@ -104,11 +107,6 @@ class TanisakiIdeal:
     lam: Partition
     generators: tuple[tuple[tuple[int, ...], int], ...]  # (variable subset, degree)
 
-    def generator_polys(self) -> list[MPoly]:
-        return [
-            elementary_symmetric(d, subset, self.n) for subset, d in self.generators
-        ]
-
 
 @lru_cache(maxsize=None)
 def tanisaki_ideal(lam: Partition, n: int | None = None) -> TanisakiIdeal:
@@ -134,13 +132,9 @@ def tanisaki_ideal(lam: Partition, n: int | None = None) -> TanisakiIdeal:
 
 
 @lru_cache(maxsize=None)
-def _ordered_monomials(
-    n: int, degree: int
-) -> tuple[tuple[Exponent, ...], Mapping[Exponent, int]]:
-    """Degree slice of the monomials, largest first in the descent order,
-    and the read-only column index of each monomial in that list."""
-    monos = tuple(sorted(monomials_of_degree(n, degree), key=descent_key, reverse=True))
-    return monos, MappingProxyType({exp: i for i, exp in enumerate(monos)})
+def _ordered_monomials(n: int, degree: int) -> tuple[Exponent, ...]:
+    """Degree slice of the monomials, largest first in the descent order."""
+    return tuple(sorted(monomials_of_degree(n, degree), key=descent_key, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -173,10 +167,13 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     degree is lifted to the columns as ``x_i NF(m / x_i)`` for the first
     variable ``x_i`` dividing it; that is how generators enter the
     relations, and how the monomials are walked, smallest first, to pick
-    out the standard ones.  Both eliminations are back-substituted once,
-    in integers.
+    out the standard ones.  A slice runs two eliminations, each
+    back-substituted once in integers: the relations, which give every
+    column modulo them on the free (non-pivot) columns, and the walked
+    images, each with a tag column for its position, whose reduced rows
+    write every free column in the classes of the standard monomials.
     """
-    monos, _ = _ordered_monomials(n, degree)
+    monos = _ordered_monomials(n, degree)
     if degree == 0:  # no generator is a constant
         (one,) = monos
         return QuotientSlice(monos, MappingProxyType({one: MappingProxyType({one: 1})}))
@@ -214,9 +211,10 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
             col: _exact(Fraction(-v, row[lead])) for col, v in row.items() if col != lead
         }
 
-    # The standard monomials: ``span`` tests independence, and ``tagged``
-    # keeps each standard image with a tag column for its position.
-    span = Echelon()
+    # The standard monomials: each image goes in with a tag column for its
+    # position after the free columns.  It is standard when its pivot lands
+    # on a free column; a pivot on a tag column is a relation among the
+    # images already kept, and its row is dropped.
     tagged = Echelon()
     standard: list[Exponent] = []
     offset = len(column)
@@ -224,10 +222,12 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
         if len(standard) == len(free):
             break
         row = _combine(lift(exp), modulo)
-        if span.add_row(row):
-            row[offset + len(standard)] = 1
-            tagged.add_row(row)
+        row[offset + len(standard)] = 1
+        tagged.add_row(row)
+        if next(reversed(tagged.pivot_rows)) < offset:
             standard.append(exp)
+        else:
+            tagged.pivot_rows.popitem()
 
     # A fully reduced tagged row reads ``lead * e_f = sum of tag * [s]``.
     tagged.back_substitute()
@@ -246,6 +246,14 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
         for exp in monos
     }
     return QuotientSlice(tuple(standard), MappingProxyType(normal_forms))
+
+
+def _by_degree(exponents) -> dict[int, list[Exponent]]:
+    """The exponents grouped by total degree, each group in input order."""
+    groups: dict[int, list[Exponent]] = {}
+    for a in exponents:
+        groups.setdefault(sum(a), []).append(a)
+    return groups
 
 
 def _combine(coefficients: Mapping, vectors: Mapping) -> dict:
@@ -276,7 +284,7 @@ def ideal_slice_basis(lam: Partition, n: int, degree: int) -> list[MPoly]:
     >>> len(ideal_slice_basis((1, 1), 2, 2))
     3
     """
-    monos, _ = _ordered_monomials(n, degree)
+    monos = _ordered_monomials(n, degree)
     quotient = _quotient_slice(lam, n, degree)
     standard = set(quotient.standard)
     rows = []
@@ -357,16 +365,14 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
     n = sum(lam)
     check_bound(n, bound)
     target_ideal = conjugate(lam)
-    by_degree: dict[int, set[Exponent]] = {}
-    for a in descent_compositions_lambda(lam):
-        by_degree.setdefault(sum(a), set()).add(a)
+    by_degree = _by_degree(descent_compositions_lambda(lam))
     top = n_stat(target_ideal)
     dims: dict[int, int] = {}
     basis_ok = True
     leading_ok = True
     for degree in range(top + 1):
         standard = set(_quotient_slice(target_ideal, n, degree).standard)
-        descent_monos = by_degree.get(degree, set())
+        descent_monos = set(by_degree.get(degree, ()))
         dims[degree] = len(standard)
         if dims[degree] != len(descent_monos) or not descent_monos <= standard:
             basis_ok = False
@@ -451,17 +457,17 @@ def parabolic_basis_elements(lam: Partition, mu: Composition) -> list[tuple[Comp
     """The antisymmetrized descent monomials indexed by the reverse-shuffle
     part of the shape-``lam`` major-index family: pairs (exponent, polynomial).
     """
+    return [(a, antisymmetrize(mu, monomial(a))) for a in _reverse_shuffle_part(lam, mu)]
+
+
+def _reverse_shuffle_part(lam: Partition, mu: Composition) -> list[Composition]:
+    """The exponents ``majt(tau)`` of the reverse shuffles ``tau`` of ``mu``
+    in the shape-``lam`` major-index family, by degree, then exponent."""
     lam = check_partition(lam)
-    n = sum(lam)
-    if sum(mu) != n:
+    if sum(mu) != sum(lam):
         raise ValueError("mu must be a composition of the same n")
-    elements = []
-    for tau in j_maj(lam):
-        if is_reverse_shuffle(tau, mu):
-            exponent = majt(tau)
-            elements.append((exponent, antisymmetrize(mu, monomial(exponent))))
-    elements.sort(key=lambda pair: (sum(pair[0]), pair[0]))
-    return elements
+    kept = [majt(tau) for tau in j_maj(lam) if is_reverse_shuffle(tau, mu)]
+    return sorted(kept, key=lambda a: (sum(a), a))
 
 
 @dataclass
@@ -500,41 +506,29 @@ def verify_parabolic_basis(
     check_bound(n, bound)
     mu = tuple(mu)
     ideal_shape = conjugate(lam)
-    elements = parabolic_basis_elements(lam, mu)
+    kept = _by_degree(_reverse_shuffle_part(lam, mu))
+    family = _by_degree(descent_compositions_lambda(lam))
+    count_poly = TPoly({d: len(group) for d, group in kept.items()})
 
-    by_degree: dict[int, list[MPoly]] = {}
-    for exponent, p in elements:
-        by_degree.setdefault(sum(exponent), []).append(p)
-    count_poly = TPoly({d: len(polys) for d, polys in by_degree.items()})
-
-    # Independence modulo the ideal, degree by degree.
-    independent = True
-    for degree, polys in by_degree.items():
-        _, index = _ordered_monomials(n, degree)
-        reduced_rows = []
-        for p in polys:
-            nf = _quotient_normal_form(ideal_shape, n, p)
-            reduced_rows.append({index[exp]: c for exp, c in nf.items()})
-        if matrix_rank(reduced_rows) != len(polys):
+    # Degree by degree, over every degree of either set: the kept images
+    # must be independent modulo the ideal (rank = count), and the images of
+    # the whole family, the antisymmetrizer on the graded piece of the
+    # quotient, must have rank equal to the count too.  Each monomial is
+    # antisymmetrized and reduced once; columns are positions among the
+    # standard monomials.
+    independent = spans = True
+    for degree in family | kept:
+        position = {
+            b: k for k, b in enumerate(_quotient_slice(ideal_shape, n, degree).standard)
+        }
+        in_family, in_kept = family.get(degree, []), kept.get(degree, [])
+        rows = {}
+        for a in dict.fromkeys(in_family + in_kept):
+            nf = _quotient_normal_form(ideal_shape, n, antisymmetrize(mu, monomial(a)))
+            rows[a] = {position[b]: c for b, c in nf.items()}
+        if matrix_rank([rows[a] for a in in_kept]) != len(in_kept):
             independent = False
-
-    # Spanning: the rank of the antisymmetrizer on each graded piece of the
-    # quotient must match the count.
-    spans = True
-    descent_family = descent_compositions_lambda(lam)
-    degrees = sorted({sum(a) for a in descent_family} | set(count_poly.coeffs))
-    for degree in degrees:
-        _, index = _ordered_monomials(n, degree)
-        operator_rows = []
-        for a in descent_family:
-            if sum(a) != degree:
-                continue
-            image = antisymmetrize(mu, monomial(a))
-            nf = _quotient_normal_form(ideal_shape, n, image)
-            row = {index[exp]: c for exp, c in nf.items()}
-            if row:
-                operator_rows.append(row)
-        if matrix_rank(operator_rows) != count_poly[degree]:
+        if matrix_rank([rows[a] for a in in_family]) != len(in_kept):
             spans = False
 
     matches = None
@@ -571,12 +565,8 @@ def verify_phi_injective(lam: Partition, bound: int = PHI_BOUND) -> bool:
     lam = check_partition(lam)
     n = sum(lam)
     check_bound(n, bound)
-    family = descent_compositions_lambda(lam)
-    by_degree: dict[int, list[Composition]] = {}
-    for a in family:
-        by_degree.setdefault(sum(a), []).append(a)
     osps = ordered_set_partitions(lam)
-    for degree, basis in by_degree.items():
+    for basis in _by_degree(descent_compositions_lambda(lam)).values():
         columns: dict = {}
         rows = []
         for a in basis:

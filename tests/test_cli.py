@@ -180,6 +180,16 @@ def test_verify_bound(capsys):
     assert code == 3
 
 
+def test_bound_error_reads_the_same_in_every_command(capsys):
+    for argv in (
+        ["enumerate", "D", "2,2"],
+        ["hall-littlewood", "2,2"],
+        ["verify", "2,2", "--checks", "basis"],
+    ):
+        code, out, err = run(capsys, "--n-bound", "3", *argv)
+        assert (code, out, err) == (3, "", "error: n = 4 exceeds configured bound 3\n"), argv
+
+
 def test_deterministic_output(capsys):
     first = run(capsys, "enumerate", "D", "2,2")
     second = run(capsys, "enumerate", "D", "2,2")

@@ -7,13 +7,11 @@ import pytest
 from gpdescent.core import is_shuffle, multinomial, partitions, permutations
 from gpdescent.descent import (
     NotADescentComposition,
-    artin_monomial,
     descent_compare,
     descent_composition_witness,
     descent_compositions,
     descent_compositions_lambda,
     descent_key,
-    descent_monomial,
     descent_set,
     in_descent_compositions_lambda,
     inv,
@@ -68,12 +66,6 @@ def test_identity_and_reversal():
     assert descent_set(reversal) == {1, 2, 3}
     assert inversion_set((2, 1)) == {(2, 1)}
     assert invt((2, 1)) == (1, 0)
-
-
-def test_monomial_aliases():
-    sigma = (3, 4, 1, 5, 2)
-    assert descent_monomial(sigma) == majt(sigma)
-    assert artin_monomial(sigma) == invt(sigma)
 
 
 def test_descent_basis_element():

@@ -408,6 +408,25 @@ def test_parabolic_trivial_mu():
     assert report.count_poly.at_one() == multinomial((2, 1))
 
 
+def test_parabolic_check_needs_every_degree(monkeypatch):
+    # D_(2,1) without its degree-0 member cannot span the degree-0 piece,
+    # although the reverse-shuffle part (taken from j_maj) still has it
+    import gpdescent.tanisaki as tanisaki_module
+
+    family = tanisaki_module.descent_compositions_lambda((2, 1))
+    assert (0, 0, 0) in family
+    trimmed = tuple(a for a in family if sum(a))
+    monkeypatch.setattr(
+        tanisaki_module,
+        "descent_compositions_lambda",
+        lambda lam: trimmed if lam == (2, 1) else family,
+    )
+    report = verify_parabolic_basis((2, 1), (1, 1, 1))
+    assert report.independent
+    assert not report.spans
+    assert not report.ok
+
+
 def test_parabolic_unsorted_mu():
     # Young subgroups of arbitrary compositions also work; the expansion
     # comparison only applies to partitions

@@ -28,6 +28,7 @@ from gpdescent.ribbon import (
     ribbon_to_parking,
     ribbon_tuples,
     to_json_dict,
+    verify_minimal_ribbons,
 )
 
 # the (6,2,1)-shaped tuple mapping to the worked parking function
@@ -147,6 +148,23 @@ def test_minimality_is_argmin_up_to_6():
             assert min(values) == n_stat(lam)
             argmin = {t for t, v in zip(tuples, values) if v == n_stat(lam)}
             assert argmin == set(minimal_ribbon_tuples(lam))
+
+
+def test_verify_minimal_ribbons(monkeypatch):
+    import gpdescent.ribbon as ribbon_module
+
+    assert all(verify_minimal_ribbons(lam) for n in range(6) for lam in partitions(n))
+    # a wrong minimum, a wrong argmin and a wrong count are each caught
+    real_doff = ribbon_module.doff
+    monkeypatch.setattr(ribbon_module, "doff", lambda t: real_doff(t) + 1)
+    assert not verify_minimal_ribbons((2, 1))  # minimum is n(lam) + 1
+    monkeypatch.undo()
+    real_minimal = ribbon_module.minimal_ribbon_tuples
+    monkeypatch.setattr(ribbon_module, "minimal_ribbon_tuples", lambda lam: real_minimal(lam)[1:])
+    assert not verify_minimal_ribbons((2, 1))  # argmin differs, count short
+    monkeypatch.setattr(ribbon_module, "multinomial", lambda lam: 0)
+    monkeypatch.setattr(ribbon_module, "minimal_ribbon_tuples", real_minimal)
+    assert not verify_minimal_ribbons((2, 1))  # count differs
 
 
 def test_single_row_shape_counts():
