@@ -2,7 +2,9 @@
 
 Output is UTF-8; ``--format json`` emits newline-delimited JSON objects.
 Exit codes: 0 success, 2 parse error, 3 resource bound exceeded, 4 the two
-expansion routes disagree, 5 a verification failed.
+expansion routes disagree, 5 a verification failed, 141 standard output
+was closed before all of it was written (as when piped into ``head``; the
+value a shell reports for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_DISAGREE = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141
 
 CHECKS = ("basis", "leading", "parabolic", "phi", "minimal-ribbons")
 
@@ -171,7 +174,7 @@ def cmd_verify(args) -> int:
     if "phi" in checks:
         # the splitting-map check has its own smaller default bound;
         # skip it quietly when it was only implied by the default set
-        phi_bound = args.n_bound if args.n_bound is not None else tanisaki.PHI_BOUND
+        phi_bound = resolve_bound(args, tanisaki.PHI_BOUND)
         if sum(lam) > phi_bound and args.checks is None:
             document["phi_injective_ok"] = "skipped"
         else:
@@ -269,7 +272,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

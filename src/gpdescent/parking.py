@@ -65,6 +65,22 @@ def area(pf: ParkingFunction) -> int:
     return sum(pf.area)
 
 
+def _dinv_partners(a, labels, j: int) -> list[int]:
+    """The rows ``i < j`` that form a dinv pair with row ``j``: equal levels
+    with ``labels[i] < labels[j]``, or ``a[i] == a[j] + 1`` with
+    ``labels[i] > labels[j]``.  Reads only rows ``0..j``.
+    """
+    level, label = a[j], labels[j]
+    rows = []
+    for i in range(j):
+        if a[i] == level:
+            if labels[i] < label:
+                rows.append(i)
+        elif a[i] == level + 1 and labels[i] > label:
+            rows.append(i)
+    return rows
+
+
 def dinv_pairs(pf: ParkingFunction) -> set[tuple[int, int]]:
     """Label pairs ``(labels_i, labels_j)`` with ``i < j`` and either
     equal levels with increasing labels, or levels off by one
@@ -75,12 +91,9 @@ def dinv_pairs(pf: ParkingFunction) -> set[tuple[int, int]]:
     """
     a, labels = pf
     pairs = set()
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] == a[j] and labels[i] < labels[j]:
-                pairs.add((labels[i], labels[j]))
-            elif a[i] == a[j] + 1 and labels[i] > labels[j]:
-                pairs.add((labels[i], labels[j]))
+    for j in range(len(a)):
+        for i in _dinv_partners(a, labels, j):
+            pairs.add((labels[i], labels[j]))
     return pairs
 
 
@@ -105,6 +118,13 @@ def touches(pf: ParkingFunction, alpha: Composition) -> bool:
     return all(pf.area[block[0]] == 0 for block in block_ranges(alpha))
 
 
+def _doff_weights(alpha: Composition) -> list[int]:
+    """Per-row doff weight: every row of block ``k`` (1-based, ``l``
+    blocks) weighs ``l - k``."""
+    l = len(alpha)
+    return [l - k for k, part in enumerate(alpha, start=1) for _ in range(part)]
+
+
 def doff(pf: ParkingFunction, alpha: Composition) -> int:
     """Weighted count of diagonal rows: block ``k`` (1-based, ``l`` blocks)
     contributes ``(l - k)`` for each of its rows at level zero.
@@ -115,12 +135,7 @@ def doff(pf: ParkingFunction, alpha: Composition) -> int:
     check_valid(pf)
     if not touches(pf, alpha):
         raise TouchConstraintError((pf, alpha))
-    l = len(alpha)
-    total = 0
-    for k, block in enumerate(block_ranges(alpha), start=1):
-        zero_rows = sum(1 for i in block if pf.area[i] == 0)
-        total += (l - k) * zero_rows
-    return total
+    return sum(w for w, level in zip(_doff_weights(alpha), pf.area) if level == 0)
 
 
 def _area_sequences(n: int) -> Iterator[tuple[int, ...]]:
@@ -262,22 +277,62 @@ def level_composition(pf: ParkingFunction) -> Composition:
 
 
 def minimal_parking_functions(alpha: Composition) -> list[ParkingFunction]:
-    """Touch-constrained parking functions minimizing ``dinv + doff``.
+    """Touch-constrained parking functions minimizing ``dinv + doff``, sorted.
 
     ``alpha`` must be the reverse of a partition ``lam`` (weakly increasing
     parts); the minimum value of the statistic is ``n(lam)`` and the family
     is selected by that exact value, not by a structural shortcut.
+
+    A depth-first search over the rows, bottom up, instead of filtering
+    :func:`parking_functions_alpha`.  Each row takes a level (0 at the
+    start of every block of ``alpha``, otherwise at most one above the row
+    below) and a free label (above the row below's label at a rise).  The
+    statistic is a sum over rows of non-negative terms: the dinv pairs the
+    new row makes with the rows below it, plus its doff weight if it sits
+    at level 0.  So a branch is cut as soon as the running total passes
+    ``n(lam)``, and a complete row sequence is kept exactly when its total
+    equals ``n(lam)``.
+
+    >>> len(minimal_parking_functions((1, 3)))
+    12
+    >>> minimal_parking_functions(())
+    [ParkingFunction(area=(), labels=())]
     """
     alpha = tuple(alpha)
     if any(alpha[i] > alpha[i + 1] for i in range(len(alpha) - 1)):
         raise ValueError(f"touch composition must be weakly increasing: {alpha}")
-    lam = tuple(reversed(alpha))
-    target = n_stat(lam)
-    return sorted(
-        pf
-        for pf in parking_functions_alpha(alpha)
-        if dinv(pf) + doff(pf, alpha) == target
-    )
+    if any(part < 1 for part in alpha):
+        raise ValueError(f"touch composition must have positive parts: {alpha}")
+    target = n_stat(tuple(reversed(alpha)))
+    n = sum(alpha)
+    weights = _doff_weights(alpha)
+    starts = {block.start for block in block_ranges(alpha)}
+    levels = [0] * n
+    labels = [0] * n
+    found: list[ParkingFunction] = []
+
+    def extend(j: int, free: tuple[int, ...], total: int) -> None:
+        # rows 0..j-1 are placed; ``free`` holds the unused labels, ascending
+        if j == n:
+            if total == target:
+                found.append(ParkingFunction(tuple(levels), tuple(labels)))
+            return
+        top = 0 if j in starts else levels[j - 1] + 1
+        for level in range(top + 1):
+            levels[j] = level
+            rise = j > 0 and level == levels[j - 1] + 1
+            for k, label in enumerate(free):
+                if rise and label < labels[j - 1]:
+                    continue
+                labels[j] = label
+                gain = len(_dinv_partners(levels, labels, j))
+                if level == 0:
+                    gain += weights[j]
+                if total + gain <= target:
+                    extend(j + 1, free[:k] + free[k + 1 :], total + gain)
+
+    extend(0, tuple(range(1, n + 1)), 0)
+    return sorted(found)
 
 
 def render(pf: ParkingFunction) -> str:

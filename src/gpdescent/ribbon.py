@@ -28,6 +28,7 @@ per earlier component and never end in the bottom row; they minimize
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from functools import lru_cache
 from typing import Iterator
@@ -366,15 +367,15 @@ def algorithm_sequence(a: Composition, lam: Partition) -> tuple[tuple[int, ...],
     n = len(a)
     if sum(lam) != n:
         raise ValueError("partition size must match composition length")
-    used: set[int] = set()
+    unused = list(range(1, n + 1))
     blocks = []
     for size in lam:
         block: list[int] = []
         position = 0
         for m in range(size):
             best = None
-            for j in range(1, n + 1):
-                if j in used or a[j - 1] > m:
+            for j in unused:
+                if a[j - 1] > m:
                     continue
                 candidate = (m - a[j - 1]) * n + j
                 if candidate > position and (best is None or candidate < best):
@@ -383,7 +384,7 @@ def algorithm_sequence(a: Composition, lam: Partition) -> tuple[tuple[int, ...],
                 raise DoesNotTerminate((a, lam))
             position = best
             j = (best - 1) % n + 1
-            used.add(j)
+            unused.remove(j)
             block.append(j)
         blocks.append(tuple(block))
     return tuple(blocks)
@@ -401,40 +402,37 @@ def algorithm_tableau(tup: RibbonTuple) -> tuple[tuple[int, ...], ...]:
     >>> algorithm_tableau(t)
     ((3, 6, 1, 2, 4, 7), (5, 9), (8,))
     """
-    by_height: dict[int, list[int]] = {}
+    # unused[h]: the entries at height h not yet picked, ascending
+    unused: list[list[int]] = []
     for comp in tup:
         for h, row in enumerate(comp):
-            by_height.setdefault(h, []).extend(row)
-    for cells in by_height.values():
+            if h == len(unused):
+                unused.append([])
+            unused[h].extend(row)
+    for cells in unused:
         cells.sort()
-    sizes = component_sizes(tup)
-    used: set[int] = set()
+    unused.append([])  # nothing above the top row
     blocks = []
-    for size in sizes:
-        available_bottom = [e for e in by_height.get(0, []) if e not in used]
-        if not available_bottom:
+    for size in component_sizes(tup):
+        if not unused[0]:
             raise DoesNotTerminate(tup)
-        current = min(available_bottom)
+        current = unused[0].pop(0)
         level = 0
-        used.add(current)
         block = [current]
         for _ in range(size - 1):
-            above = [
-                e for e in by_height.get(level + 1, []) if e not in used and e > current
-            ]
-            if above:
-                current = min(above)
+            above = unused[level + 1]
+            k = bisect.bisect_right(above, current)
+            if k < len(above):
+                current = above.pop(k)
                 level += 1
             else:
                 for h in range(level, -1, -1):
-                    free = [e for e in by_height.get(h, []) if e not in used]
-                    if free:
-                        current = min(free)
+                    if unused[h]:
+                        current = unused[h].pop(0)
                         level = h
                         break
                 else:
                     raise DoesNotTerminate(tup)
-            used.add(current)
             block.append(current)
         blocks.append(tuple(block))
     return tuple(blocks)
@@ -445,13 +443,14 @@ def _ribbon_from_heights(entries_with_heights: dict[int, int]) -> Ribbon:
     sorted height classes.  Raises ``ReconstructionError`` if the heights
     skip a level or some row fails to top its predecessor.
     """
-    top = max(entries_with_heights.values())
+    by_height: dict[int, list[int]] = {}
+    for entry, h in entries_with_heights.items():
+        by_height.setdefault(h, []).append(entry)
     rows = []
-    for h in range(top + 1):
-        row = tuple(sorted(e for e, he in entries_with_heights.items() if he == h))
-        if not row:
+    for h in range(max(by_height) + 1):
+        if h not in by_height:
             raise ReconstructionError(f"no cell at height {h}")
-        rows.append(row)
+        rows.append(tuple(sorted(by_height[h])))
     ribbon = tuple(rows)
     if not is_valid_ribbon(ribbon):
         raise ReconstructionError(f"invalid ribbon rows {ribbon}")

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from gpdescent.cli import main
+import gpdescent
+from gpdescent.cli import EXIT_PIPE, main
 
 
 def run(capsys, *argv):
@@ -220,6 +225,34 @@ def test_default_verify_skips_phi_above_its_bound(capsys):
     assert code == 0
     code, out, _ = run(capsys, "verify", "2,2,1", "--checks", "basis,phi")
     assert code == 3  # explicit request above the bound is an error
+
+
+def test_phi_reads_the_environment_bound(capsys, monkeypatch):
+    monkeypatch.setenv("GPDESCENT_N_BOUND", "5")
+    code, out, err = run(capsys, "verify", "2,2,1", "--checks", "phi")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["checks"] == {"phi": True}
+
+
+def test_closed_pipe_exits_quietly():
+    # enumerate D 7 writes about 200 KB, more than a pipe buffer holds, so
+    # the writer is still running when the reader closes its end
+    src = str(Path(gpdescent.__file__).resolve().parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "gpdescent.cli", "enumerate", "D", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+    assert json.loads(first) == {"composition": [0] * 7}
+    assert (code, err) == (EXIT_PIPE, b"")
 
 
 def test_hall_littlewood_empty_shape(capsys):

@@ -27,6 +27,7 @@ from gpdescent.parking import (
     to_json_dict,
     touches,
 )
+from gpdescent.ribbon import minimal_ribbon_tuples, ribbon_to_parking
 
 EXAMPLE = ParkingFunction((0, 0, 1, 0, 0, 1, 2, 2, 3), (2, 4, 7, 9, 1, 5, 8, 3, 6))
 
@@ -170,17 +171,37 @@ def test_min_statistic_value_up_to_7():
         for lam in partitions(n):
             alpha = tuple(reversed(lam))
             target = n_stat(lam)
-            hits = 0
+            hits = []
             minimum = None
             for pf in parking_functions_alpha(alpha):
                 value = dinv(pf) + doff(pf, alpha)
                 if minimum is None or value < minimum:
                     minimum = value
                 if value == target:
-                    hits += 1
+                    hits.append(pf)
             assert minimum == target
-            if n <= 6:
-                assert len(minimal_parking_functions(alpha)) == hits
+            assert minimal_parking_functions(alpha) == sorted(hits), lam
+
+
+def test_minimal_family_is_the_shear_of_minimal_ribbons_up_to_7():
+    for n in range(8):
+        for lam in partitions(n):
+            alpha = tuple(reversed(lam))
+            sheared = sorted(ribbon_to_parking(t) for t in minimal_ribbon_tuples(lam))
+            assert minimal_parking_functions(alpha) == sheared, lam
+
+
+def test_minimal_family_rejects_bad_touch_compositions():
+    with pytest.raises(ValueError, match="weakly increasing"):
+        minimal_parking_functions((2, 1))
+    with pytest.raises(ValueError, match="positive parts"):
+        minimal_parking_functions((0, 1))
+    with pytest.raises(ValueError, match="positive parts"):
+        minimal_parking_functions((0,))
+
+
+def test_minimal_family_empty():
+    assert minimal_parking_functions(()) == [ParkingFunction((), ())]
 
 
 def test_render_and_json_roundtrip():
