@@ -45,6 +45,15 @@ def resolve_bound(args, default: int) -> int:
     return int(value) if value is not None else default
 
 
+def _print_document(document: dict, fmt: str) -> None:
+    """One JSON object, or one ``key: value`` line per entry for ``table``."""
+    if fmt == "json":
+        print(json.dumps(document))
+    else:
+        for key, value in document.items():
+            print(f"{key}: {value}")
+
+
 def cmd_stats(args) -> int:
     sigma = check_permutation(parse_ints(args.sigma))
     payload = {
@@ -56,11 +65,7 @@ def cmd_stats(args) -> int:
         "invt": list(descent.invt(sigma)),
         "majt": list(descent.majt(sigma)),
     }
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
+    _print_document(payload, args.format)
     return EXIT_OK
 
 
@@ -184,7 +189,7 @@ def cmd_verify(args) -> int:
         results["minimal-ribbons"] = ribbon.verify_minimal_ribbons(lam)
         document["minimal_ribbons_ok"] = results["minimal-ribbons"]
     document["checks"] = results
-    print(json.dumps(document))
+    _print_document(document, args.format)
     if not all(results.values()):
         for name, ok in results.items():
             if not ok:

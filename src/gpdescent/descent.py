@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -26,7 +27,6 @@ from .core import (
     Partition,
     Permutation,
     multinomial,
-    ordered_set_partitions,
     permutations,
 )
 
@@ -132,9 +132,11 @@ def majt(sigma: Permutation) -> Composition:
 def majt_inverse(a: Composition) -> Permutation:
     """The unique permutation with major index table ``a``.
 
-    Reconstruction: with ``r = max(a) + 1``, the values ``i`` with
-    ``a_i = r - k`` form the ``k``-th run, listed increasingly; the runs are
-    concatenated and the result validated by recomputing the table.
+    Reconstruction: the positions ``i`` with ``a_i = j`` form level ``j``;
+    listing the levels from the top down, each one increasingly, gives the
+    word.  The levels are its runs exactly when every level ``0..max(a)`` is
+    occupied and each level ends to the right of where the level below it
+    starts (a descent at every junction).
 
     Raises :class:`NotADescentComposition` when no such permutation exists.
 
@@ -150,17 +152,28 @@ def majt_inverse(a: Composition) -> Permutation:
         return ()
     if min(a) < 0:
         raise NotADescentComposition(a)
-    r = max(a) + 1
+    levels: list[list[int]] = [[] for _ in range(max(a) + 1)]
+    for i, entry in enumerate(a, start=1):
+        levels[entry].append(i)
     word: list[int] = []
-    for k in range(1, r + 1):
-        run = [i + 1 for i, entry in enumerate(a) if entry == r - k]
-        if not run:
+    for level in reversed(levels):
+        if not level or (word and word[-1] < level[0]):
             raise NotADescentComposition(a)
-        word.extend(run)
-    sigma = tuple(word)
-    if majt(sigma) != a:
-        raise NotADescentComposition(a)
-    return sigma
+        word += level
+    return tuple(word)
+
+
+def ascent_set(a: Composition) -> frozenset[int]:
+    """Values ``v`` with ``a_v < a_{v+1}`` (1-based).
+
+    For ``a = majt(sigma)`` this is the inverse descent set of ``sigma``:
+    ``v + 1`` stands left of ``v`` exactly when it lies in an earlier run,
+    that is, on a higher level of the table.
+
+    >>> sorted(ascent_set(majt((3, 1, 4, 2))))
+    [2]
+    """
+    return frozenset(v for v in range(1, len(a)) if a[v - 1] < a[v])
 
 
 def is_descent_composition(a: Composition) -> bool:
@@ -220,23 +233,37 @@ def descent_compositions_lambda(lam: Partition) -> tuple[Composition, ...]:
     """The set ``D_lam``: compositions whose restriction to some ordered set
     partition of type ``lam`` is a descent composition block by block.
 
-    Built as the (deduplicated) union of shuffles of tuples from
-    ``D_{lam_1} x ... x D_{lam_l}``.  Zero parts are skipped, so weak
-    compositions are accepted.
+    ``D_lam`` is the union of shuffles of tuples from
+    ``D_{lam_1} x ... x D_{lam_l}``.  A shuffle of the blocks is a choice of
+    positions for one block plus a shuffle of the others on the complement,
+    so the family is built part by part: the smallest part ``p`` is peeled
+    off, and every ``p``-subset of positions carries each element of ``D_p``
+    while its complement carries each element of ``D_{lam - p}`` (cached).
+    Peeling the smallest part makes the fewest candidates.  Zero parts are
+    skipped and the parts sorted, so weak or unsorted compositions share the
+    family of their partition.
 
     >>> len(descent_compositions_lambda((3, 1)))
     12
     """
-    parts = tuple(p for p in lam if p > 0)
+    parts = tuple(sorted((p for p in lam if p > 0), reverse=True))
+    if parts != tuple(lam):
+        return descent_compositions_lambda(parts)
+    if len(parts) <= 1:
+        return descent_compositions(sum(parts))
+    *rest, p = parts
     n = sum(parts)
+    heads = descent_compositions(p)
+    tails = descent_compositions_lambda(tuple(rest))
     found: set[Composition] = set()
-    for osp in ordered_set_partitions(parts):
-        for combo in itertools.product(*(descent_compositions(p) for p in parts)):
-            a = [0] * n
-            for block, entries in zip(osp, combo):
-                for position, entry in zip(block, entries):
-                    a[position - 1] = entry
-            found.add(tuple(a))
+    for chosen in itertools.combinations(range(n), p):
+        # entry i of the result is entry order[i] of head + tail
+        order = [0] * n
+        others = (i for i in range(n) if i not in chosen)
+        for k, i in enumerate(itertools.chain(chosen, others)):
+            order[i] = k
+        pick = itemgetter(*order)
+        found.update(pick(head + tail) for head in heads for tail in tails)
     return tuple(sorted(found))
 
 
@@ -273,7 +300,8 @@ def in_descent_compositions_lambda(a: Composition, lam: Partition) -> bool:
 
 @lru_cache(maxsize=None)
 def j_maj(lam: Partition) -> tuple[Permutation, ...]:
-    """The permutations whose major index tables lie in ``D_lam``.
+    """The permutations whose major index tables lie in ``D_lam``, listed in
+    the order of their tables in :func:`descent_compositions_lambda`.
 
     Cardinality is the multinomial coefficient in the conjugate parts.
 

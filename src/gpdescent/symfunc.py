@@ -22,6 +22,12 @@ exactly when its inverse descent set avoids the block interiors of ``mu``
 exactly when it contains them.  Each ``m_mu`` coefficient is then a sum over
 at most ``2^(n-1)`` classes instead of a membership test per item.
 
+The descent route never builds the permutations: for ``sigma`` with major
+index table ``a`` in ``D_{lam'}``, ``maj(sigma)`` is the sum of ``a`` and the
+inverse descent set of ``sigma`` is the ascent set of ``a``.  Each ``a`` is
+still passed through ``majt_inverse``, which raises unless ``a`` is the
+table of a permutation.
+
 Both indexings follow the convention that ``hall_littlewood_by_descents(lam)``
 returns the expansion of the polynomial indexed by ``lam`` itself, so the
 cross-check is ``hall_littlewood_by_descents(conjugate(lam)) ==
@@ -44,7 +50,7 @@ from .core import (
     n_stat,
     partitions,
 )
-from .descent import j_maj, maj
+from .descent import ascent_set, descent_compositions_lambda, majt_inverse
 from .ribbon import area, minimal_ribbon_tuples, reading_word
 
 
@@ -165,16 +171,13 @@ def q_factorial(n: int) -> TPoly:
     return result
 
 
-def _expansion(n: int, items, statistic, word_of) -> tuple[SymExpansion, SymExpansion]:
-    """Group t^statistic by shuffle and reverse-shuffle type simultaneously.
+def _group(n: int, classes: dict[frozenset[int], Counter]) -> tuple[SymExpansion, SymExpansion]:
+    """Group per-class tallies by shuffle and reverse-shuffle type at once.
 
-    One pass tallies the statistic per inverse descent set of the word; the
-    ``m_mu`` coefficient then sums the classes that avoid (plain) or contain
-    (twisted) the block interiors of ``mu``.
+    ``classes`` maps an inverse descent set to the tally of the statistic
+    over the words in that class; the ``m_mu`` coefficient sums the classes
+    that avoid (plain) or contain (twisted) the block interiors of ``mu``.
     """
-    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
-    for item in items:
-        classes[inverse_descent_set(word_of(item))][statistic(item)] += 1
     plain: SymExpansion = {}
     twisted: SymExpansion = {}
     for mu in partitions(n):
@@ -194,16 +197,19 @@ def _expansion(n: int, items, statistic, word_of) -> tuple[SymExpansion, SymExpa
 
 @lru_cache(maxsize=None)
 def _descent_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
-    n = sum(lam)
-    perms = j_maj(conjugate(lam))
-    return _expansion(n, perms, maj, lambda sigma: sigma)
+    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
+    for a in descent_compositions_lambda(conjugate(lam)):
+        majt_inverse(a)  # raises unless a is the table of a permutation
+        classes[ascent_set(a)][sum(a)] += 1
+    return _group(sum(lam), classes)
 
 
 @lru_cache(maxsize=None)
 def _ribbon_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
-    n = sum(lam)
-    tuples = minimal_ribbon_tuples(lam)
-    return _expansion(n, tuples, area, reading_word)
+    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
+    for tup in minimal_ribbon_tuples(lam):
+        classes[inverse_descent_set(reading_word(tup))][area(tup)] += 1
+    return _group(sum(lam), classes)
 
 
 def hall_littlewood_by_descents(lam: Partition) -> SymExpansion:

@@ -56,11 +56,10 @@ from .core import (
     pad,
     partitions,
 )
+from . import descent
 from .descent import (
     descent_compositions_lambda,
     descent_key,
-    j_maj,
-    majt,
     restrict,
 )
 from .linalg import Echelon, matrix_rank
@@ -466,7 +465,9 @@ def _reverse_shuffle_part(lam: Partition, mu: Composition) -> list[Composition]:
     lam = check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError("mu must be a composition of the same n")
-    kept = [majt(tau) for tau in j_maj(lam) if is_reverse_shuffle(tau, mu)]
+    # j_maj lists majt_inverse of the family it is built from, in its order
+    pairs = zip(descent.descent_compositions_lambda(lam), descent.j_maj(lam))
+    kept = [a for a, tau in pairs if is_reverse_shuffle(tau, mu)]
     return sorted(kept, key=lambda a: (sum(a), a))
 
 

@@ -180,6 +180,22 @@ def test_verify_leading_alone(capsys):
     assert payload["checks"] == {"leading": True}
 
 
+def test_verify_table_format(capsys, monkeypatch):
+    code, out, _ = run(capsys, "--format", "table", "verify", "2,1", "--checks", "leading")
+    assert code == 0
+    assert out == "lambda: [2, 1]\nleading_terms_ok: True\nchecks: {'leading': True}\n"
+
+    import gpdescent.cli as cli_module
+
+    monkeypatch.setattr(cli_module.ribbon, "verify_minimal_ribbons", lambda lam: False)
+    code, out, err = run(
+        capsys, "verify", "2,1", "--checks", "minimal-ribbons", "--format", "table"
+    )
+    assert code == 5
+    assert "minimal_ribbons_ok: False\n" in out
+    assert "verification failed: minimal-ribbons" in err
+
+
 def test_verify_bound(capsys):
     code, _, err = run(capsys, "--n-bound", "3", "verify", "4", "--checks", "basis")
     assert code == 3

@@ -4,9 +4,17 @@ from collections import Counter
 
 import pytest
 
-from gpdescent.core import is_shuffle, multinomial, partitions, permutations
+from gpdescent.core import (
+    inverse_descent_set,
+    is_shuffle,
+    multinomial,
+    ordered_set_partitions,
+    partitions,
+    permutations,
+)
 from gpdescent.descent import (
     NotADescentComposition,
+    ascent_set,
     descent_compare,
     descent_composition_witness,
     descent_compositions,
@@ -103,7 +111,7 @@ def test_majt_inverse_examples():
 def test_majt_inverse_against_brute_search():
     # oracle: scan the symmetric group for the preimage of every
     # composition on a bounded grid, including the non-images
-    for n in range(1, 6):
+    for n in range(1, 7):
         by_table = {majt(sigma): sigma for sigma in permutations(n)}
         for a in itertools.product(range(n), repeat=n):
             if a in by_table:
@@ -121,6 +129,14 @@ def test_majt_bijection_up_to_8():
             assert majt_inverse(table) == sigma
             seen.add(table)
         assert len(seen) == len(list(permutations(n)))
+
+
+def test_tables_read_maj_and_inverse_descents():
+    for n in range(1, 8):
+        for sigma in permutations(n):
+            table = majt(sigma)
+            assert inverse_descent_set(sigma) == ascent_set(table)
+            assert maj(sigma) == sum(table)
 
 
 def test_descent_compositions_d3():
@@ -178,6 +194,28 @@ def test_restriction_property_of_descent_order():
                 and descent_compare(restrict(a, T), restrict(b, T)) <= 0
             ):
                 assert descent_compare(a, b) <= 0
+
+
+def union_of_shuffles(lam):
+    """Oracle for ``D_lam``: every ordered set partition of type ``lam``
+    carrying every tuple of ``D_{lam_1} x ... x D_{lam_l}``, deduplicated."""
+    parts = tuple(p for p in lam if p > 0)
+    n = sum(parts)
+    found = set()
+    for osp in ordered_set_partitions(parts):
+        for combo in itertools.product(*(descent_compositions(p) for p in parts)):
+            a = [0] * n
+            for block, entries in zip(osp, combo):
+                for position, entry in zip(block, entries):
+                    a[position - 1] = entry
+            found.add(tuple(a))
+    return sorted(found)
+
+
+def test_d_lambda_matches_union_of_shuffles():
+    shapes = [lam for n in range(8) for lam in partitions(n)]
+    for lam in shapes + [(3, 0, 1), (1, 3), (2, 1, 2)]:
+        assert list(descent_compositions_lambda(lam)) == union_of_shuffles(lam), lam
 
 
 def test_d_lambda_31_verbatim():

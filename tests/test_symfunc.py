@@ -182,6 +182,16 @@ def test_expansion_matches_shuffle_oracle():
             assert hall_littlewood_by_ribbons(lam, twisted=True) == twisted
 
 
+def test_descent_route_rejects_a_non_table(monkeypatch):
+    import gpdescent.symfunc as symfunc_module
+    from gpdescent.descent import NotADescentComposition
+
+    # (1, 1, 0) is the major index table of no permutation
+    monkeypatch.setattr(symfunc_module, "descent_compositions_lambda", lambda lam: ((1, 1, 0),))
+    with pytest.raises(NotADescentComposition):
+        symfunc_module._descent_expansions.__wrapped__((3,))
+
+
 def test_routes_agree_at_7():
     for lam in partitions(7):
         assert expansions_equal(
