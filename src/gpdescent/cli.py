@@ -1,10 +1,12 @@
 """Command-line interface: statistics, enumeration, expansions, verification.
 
 Output is UTF-8; ``--format json`` emits newline-delimited JSON objects.
-Exit codes: 0 success, 2 parse error, 3 resource bound exceeded, 4 the two
-expansion routes disagree, 5 a verification failed, 141 standard output
-was closed before all of it was written (as when piped into ``head``; the
-value a shell reports for a process ended by SIGPIPE).
+Exit codes: 0 success, 2 parse error (argument text that does not parse
+or validate, a ``UsageError``), 3 resource bound exceeded, 4 the two
+expansion routes disagree, 5 a verification failed, 70 internal error (any
+other ``ValueError``, raised inside a check; sysexits EX_SOFTWARE), 141
+standard output was closed before all of it was written (as when piped
+into ``head``; the value a shell reports for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -25,16 +27,31 @@ EXIT_PARSE = 2
 EXIT_BOUND = 3
 EXIT_DISAGREE = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 CHECKS = ("basis", "leading", "parabolic", "phi", "minimal-ribbons")
+
+
+class UsageError(ValueError):
+    """Argument text that does not parse or validate."""
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _parse_checked(text: str, check):
+    """The integers in ``text`` passed through ``check`` (``check_partition``
+    or ``check_permutation``); a rejection is a usage error."""
+    values = parse_ints(text)
+    try:
+        return check(values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def resolve_bound(args, default: int) -> int:
@@ -42,7 +59,12 @@ def resolve_bound(args, default: int) -> int:
     if args.n_bound is not None:
         return args.n_bound
     value = os.environ.get(ENV_BOUND)
-    return int(value) if value is not None else default
+    if value is None:
+        return default
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise UsageError(f"{ENV_BOUND}: expected an integer, got {value!r}") from exc
 
 
 def _print_document(document: dict, fmt: str) -> None:
@@ -55,7 +77,7 @@ def _print_document(document: dict, fmt: str) -> None:
 
 
 def cmd_stats(args) -> int:
-    sigma = check_permutation(parse_ints(args.sigma))
+    sigma = _parse_checked(args.sigma, check_permutation)
     payload = {
         "sigma": list(sigma),
         "inv": descent.inv(sigma),
@@ -70,7 +92,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    lam = check_partition(parse_ints(args.partition))
+    lam = _parse_checked(args.partition, check_partition)
     tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
     emit = (lambda obj: print(json.dumps(obj))) if args.format == "json" else (
         lambda obj: print(obj)
@@ -120,7 +142,7 @@ def _print_expansion(expansion, fmt: str) -> None:
 
 
 def cmd_hall_littlewood(args) -> int:
-    lam = check_partition(parse_ints(args.partition))
+    lam = _parse_checked(args.partition, check_partition)
     tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
     routes = {}
     if args.route in ("descents", "both"):
@@ -149,12 +171,12 @@ def cmd_hall_littlewood(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lam = check_partition(parse_ints(args.partition))
+    lam = _parse_checked(args.partition, check_partition)
     bound = resolve_bound(args, tanisaki.DEFAULT_BOUND)
     checks = args.checks.split(",") if args.checks else CHECKS
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
-        raise ValueError(
+        raise UsageError(
             f"unknown checks {','.join(unknown)!r}; valid checks: {','.join(CHECKS)}"
         )
     results = {}
@@ -268,9 +290,12 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except tanisaki.ResourceBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

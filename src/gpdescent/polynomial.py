@@ -109,9 +109,19 @@ def antisymmetrize(mu, p: MPoly) -> MPoly:
     ``e o w`` instead, which runs over the same terms because ``w -> w^-1``
     is a sign-preserving bijection of the subgroup.
 
+    Reindexing the sum by ``w -> v w`` shows that permuting an exponent
+    inside the blocks of ``mu`` only changes the sign: for ``v`` in the
+    subgroup, ``x^(e o v)`` antisymmetrizes to ``sgn(v)`` times what ``x^e``
+    does.  So a monomial whose exponent repeats a value inside one block
+    antisymmetrizes to zero (a transposition fixes it), and any other is
+    ``(-1)^k`` times the monomial with each block sorted ascending, where
+    ``k`` counts the inversions of ``e`` inside the blocks.
+
     >>> result = antisymmetrize((2,), variable(2, 1))
     >>> sorted(result.items())
     [((0, 1), -1), ((1, 0), 1)]
+    >>> antisymmetrize((2, 1), {(3, 3, 0): 1})
+    {}
     """
     out: MPoly = {}
     for w, sign in _young_subgroup(tuple(mu)):

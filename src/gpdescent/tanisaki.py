@@ -471,6 +471,32 @@ def _reverse_shuffle_part(lam: Partition, mu: Composition) -> list[Composition]:
     return sorted(kept, key=lambda a: (sum(a), a))
 
 
+def _block_sorted(mu: Composition, a: Exponent) -> tuple[int, Exponent | None]:
+    """``(sign, c)`` with ``antisymmetrize(mu, x^a) = sign * antisymmetrize(mu,
+    x^c)``: ``c`` is ``a`` with each block of ``mu`` sorted ascending and
+    ``sign`` the parity of the inversions of ``a`` inside the blocks.
+    ``(0, None)`` when a block repeats a value, as the image is then zero.
+
+    >>> _block_sorted((2, 1), (2, 0, 1))
+    (-1, (0, 2, 1))
+    >>> _block_sorted((2, 1), (1, 1, 0))
+    (0, None)
+    """
+    sign = 1
+    c: list[int] = []
+    start = 0
+    for part in mu:
+        block = a[start : start + part]
+        if len(set(block)) < part:
+            return 0, None
+        inversions = sum(x > y for x, y in itertools.combinations(block, 2))
+        if inversions % 2:
+            sign = -sign
+        c.extend(sorted(block))
+        start += part
+    return sign, tuple(c)
+
+
 @dataclass
 class ParabolicReport:
     lam: Partition
@@ -514,22 +540,29 @@ def verify_parabolic_basis(
     # Degree by degree, over every degree of either set: the kept images
     # must be independent modulo the ideal (rank = count), and the images of
     # the whole family, the antisymmetrizer on the graded piece of the
-    # quotient, must have rank equal to the count too.  Each monomial is
-    # antisymmetrized and reduced once; columns are positions among the
-    # standard monomials.
+    # quotient, must have rank equal to the count too.  The image of ``a`` is
+    # zero or plus or minus the image of its block-sorted exponent ``c``
+    # (see ``antisymmetrize``), so each distinct nonzero ``c`` is
+    # antisymmetrized and reduced once.  A zero image is an empty row, and a
+    # kept ``c`` met twice is a repeated row: both lower the rank of the kept
+    # rows as their own images would.  The family's rank needs each ``c``
+    # only once.  Columns are positions among the standard monomials.
     independent = spans = True
     for degree in family | kept:
         position = {
             b: k for k, b in enumerate(_quotient_slice(ideal_shape, n, degree).standard)
         }
         in_family, in_kept = family.get(degree, []), kept.get(degree, [])
-        rows = {}
-        for a in dict.fromkeys(in_family + in_kept):
-            nf = _quotient_normal_form(ideal_shape, n, antisymmetrize(mu, monomial(a)))
-            rows[a] = {position[b]: c for b, c in nf.items()}
-        if matrix_rank([rows[a] for a in in_kept]) != len(in_kept):
+        sorted_of = {a: _block_sorted(mu, a)[1] for a in dict.fromkeys(in_family + in_kept)}
+        rows: dict[Exponent | None, dict[int, Rational]] = {None: {}}
+        for c in dict.fromkeys(sorted_of.values()):
+            if c is not None:
+                nf = _quotient_normal_form(ideal_shape, n, antisymmetrize(mu, monomial(c)))
+                rows[c] = {position[b]: v for b, v in nf.items()}
+        if matrix_rank([rows[sorted_of[a]] for a in in_kept]) != len(in_kept):
             independent = False
-        if matrix_rank([rows[a] for a in in_family]) != len(in_kept):
+        family_sorted = dict.fromkeys(sorted_of[a] for a in in_family)
+        if matrix_rank([rows[c] for c in family_sorted]) != len(in_kept):
             spans = False
 
     matches = None

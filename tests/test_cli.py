@@ -301,3 +301,26 @@ def test_enumerate_empty_ribbon_table(capsys):
     code, out, err = run(capsys, "--format", "table", "enumerate", "R0", "")
     assert code == 0, err
     assert out == "\n\ncount: 1 (multinomial 1)\n"
+
+
+def test_argument_text_errors_exit_2(capsys, monkeypatch):
+    # integers that do not parse, and a composition that is not a partition
+    for argv in (["verify", "3,a"], ["verify", "1,2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: "), argv
+    monkeypatch.setenv("GPDESCENT_N_BOUND", "six")
+    code, out, err = run(capsys, "verify", "2,1", "--checks", "basis")
+    assert (code, out) == (2, "")
+    assert "GPDESCENT_N_BOUND" in err
+
+
+def test_value_error_inside_a_check_is_an_internal_error(capsys, monkeypatch):
+    import gpdescent.cli as cli_module
+
+    def broken(lam, mu, bound):
+        raise ValueError("mu must be a composition of the same n")
+
+    monkeypatch.setattr(cli_module.tanisaki, "verify_parabolic_basis", broken)
+    code, out, err = run(capsys, "verify", "2,1", "--checks", "parabolic")
+    assert (code, out, err) == (70, "", "internal error: mu must be a composition of the same n\n")
