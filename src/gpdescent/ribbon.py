@@ -56,35 +56,58 @@ class ReconstructionError(ValueError):
 
 
 def is_valid_ribbon(rows: Ribbon) -> bool:
-    """Validity of a single component.
+    """Validity of a single component: every row non-empty and strictly
+    increasing, and every row topping the row below it.
 
     >>> is_valid_ribbon(((1, 9), (5,), (3, 8), (6,)))
     True
     >>> is_valid_ribbon(((2, 1),))
     False
     """
-    if not rows or any(not row for row in rows):
+    if not rows:
         return False
+    below: tuple[int, ...] = ()
     for row in rows:
-        if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
+        if not row:
             return False
-    for lower, upper in zip(rows, rows[1:]):
-        if upper[-1] <= lower[0]:
+        for k in range(1, len(row)):
+            if row[k - 1] >= row[k]:
+                return False
+        if below and row[-1] <= below[0]:
             return False
+        below = row
     return True
+
+
+def _fills(tup: RibbonTuple, lam: Partition | None) -> bool:
+    """Whether the entries of ``tup`` are exactly ``1..n`` and, when ``lam``
+    is given, its component sizes are ``lam``."""
+    entries: list[int] = []
+    sizes = []
+    for comp in tup:
+        before = len(entries)
+        for row in comp:
+            entries.extend(row)
+        sizes.append(len(entries) - before)
+    entries.sort()
+    if entries != list(range(1, len(entries) + 1)):
+        return False
+    return lam is None or tuple(sizes) == tuple(lam)
 
 
 def is_valid(tup: RibbonTuple, lam: Partition | None = None) -> bool:
     """Validity of a tuple: each component a ribbon, entries exactly 1..n,
-    and component sizes equal to ``lam`` when given."""
-    if not tup or not all(is_valid_ribbon(comp) for comp in tup):
-        return False
-    entries = [e for comp in tup for row in comp for e in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
-        return False
-    if lam is not None and tuple(component_sizes(tup)) != tuple(lam):
-        return False
-    return True
+    and component sizes equal to ``lam`` when given.
+
+    >>> is_valid((((1, 3),), ((2,),)), (2, 1))
+    True
+    >>> is_valid((), ())
+    True
+    """
+    for comp in tup:
+        if not is_valid_ribbon(comp):
+            return False
+    return _fills(tup, lam)
 
 
 def component_sizes(tup: RibbonTuple) -> tuple[int, ...]:
@@ -112,7 +135,7 @@ def height_vector(tup: RibbonTuple) -> Composition:
     This is the map carrying a minimal tuple to its descent composition.
     """
     hs = heights(tup)
-    return tuple(hs[i] for i in range(1, len(hs) + 1))
+    return tuple([hs[i] for i in range(1, len(hs) + 1)])
 
 
 def reading_word(tup: RibbonTuple) -> Permutation:
@@ -192,28 +215,49 @@ def ribbon_to_parking(tup: RibbonTuple) -> ParkingFunction:
     return ParkingFunction(tuple(area_seq), tuple(labels))
 
 
-def _settled(y: int, h: int, row: tuple[int, ...], below: tuple[int, ...]) -> bool:
-    """Whether the later cell ``y`` at height ``h`` meets an earlier
-    component as minimality asks, given that component's rows at heights
-    ``h`` and ``h - 1`` (empty where it has none): the pair count
+def _settled(cells: tuple[int, ...], h: int, row: tuple[int, ...], below: tuple[int, ...]) -> bool:
+    """Whether every later cell ``y`` in ``cells``, all at height ``h``, meets
+    an earlier component as minimality asks, given that component's rows at
+    heights ``h`` and ``h - 1`` (empty where it has none): the pair count
     ``#{x > y in row} + #{x < y in below}`` is 1 above the bottom row and
     0 in it.
+
+    >>> _settled((7,), 1, (5,), (1, 9))  # one pair: 1 < 7 one row down
+    True
+    >>> _settled((4,), 0, (1, 9), ())  # a bottom cell in a pair with 9
+    False
     """
-    count = sum(1 for x in row if x > y) + sum(1 for x in below if x < y)
-    return count == (1 if h > 0 else 0)
+    need = 1 if h > 0 else 0
+    for y in cells:
+        count = 0
+        for x in row:
+            if x > y:
+                count += 1
+        for x in below:
+            if x < y:
+                count += 1
+        if count != need:
+            return False
+    return True
 
 
 def is_minimal(tup: RibbonTuple) -> bool:
     """Minimality: every cell of a later component is in exactly one dinv
     pair with each earlier component if it sits above the bottom row, and
     in none at all if it sits in the bottom row.
+
+    >>> is_minimal((((3,), (1, 6, 7), (2, 4)), ((5,), (9,)), ((8,),)))
+    True
+    >>> is_minimal((((1, 9), (5,), (3, 8), (6,)), ((4,), (7,)), ((2,),)))
+    False
     """
     for j, comp_j in enumerate(tup):
-        for h, row_j in enumerate(comp_j):
-            for comp_i in tup[:j]:
-                row = comp_i[h] if h < len(comp_i) else ()
-                below = comp_i[h - 1] if 0 < h <= len(comp_i) else ()
-                if not all(_settled(y, h, row, below) for y in row_j):
+        for comp_i in tup[:j]:
+            top = len(comp_i)
+            for h, cells in enumerate(comp_j):
+                row = comp_i[h] if h < top else ()
+                below = comp_i[h - 1] if 0 < h <= top else ()
+                if not _settled(cells, h, row, below):
                     return False
     return True
 
@@ -271,16 +315,34 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     A depth-first search that only ever extends partial tuples that can
     still be minimal, instead of filtering all ``n!`` ribbon tuples with
     :func:`is_minimal`.  Components are placed last to first, and each
-    component's rows bottom up from the entries still free, keeping every
-    row valid (its largest entry tops the smallest entry of the row below).
-    Choosing row ``r`` of component ``i`` settles the pair count with ``i``
-    of every already placed later cell ``y`` at height ``r``
-    (:func:`_settled`, the rule :func:`is_minimal` checks):
-    ``#{x > y in row r} + #{x < y in row r-1}`` must be 1 if ``r > 0`` and
-    0 if ``r == 0``.  When component ``i`` closes with top row ``H``, the
-    later cells above it are settled the same way against its empty rows:
-    one at height ``H + 1`` needs exactly one ``x < y`` in row ``H``, and
-    one at height ``H + 2`` or more rejects the branch.
+    component's rows bottom up from the entries still free.  Choosing row
+    ``r`` of component ``i`` settles the pair count with ``i`` of every
+    already placed later cell ``y`` at height ``r`` (:func:`_settled`, the
+    rule :func:`is_minimal` checks): ``#{x > y in row r} + #{x < y in row
+    r-1}`` must be ``need``, which is 1 if ``r > 0`` and 0 if ``r == 0``.
+
+    So the admissible rows are known before any is built.  Let ``met`` be
+    ``#{x < y in row r-1}``.  If ``met == need``, no entry of the row may
+    top ``y``: its last entry is below ``y``.  If ``met == need - 1``,
+    exactly one may: the last entry is above ``y`` and every other entry
+    below it.  Any other ``met`` kills the branch.  A row is therefore one
+    last entry in the open interval ``(lo, hi)`` plus any entries below it
+    and below ``cap``, where
+
+    - ``lo`` is ``min(row r-1)``, since the row must top the one below, or
+      0 for ``r == 0``;
+    - ``hi`` is the smallest cell with ``met == need``;
+    - ``cap`` is the smallest cell with ``met == need - 1``.
+
+    A cell with ``met == need - 1`` puts no bound of its own on the last
+    entry: it has ``met == 0`` and ``r > 0``, so it lies below
+    ``min(row r-1) = lo`` already.
+
+    Rows of each size come in the order of :func:`itertools.combinations`.
+    When component ``i`` closes with top row ``H``, the later cells above it
+    are settled against its empty rows: one at height ``H + 1`` needs
+    exactly one ``x < y`` in row ``H``, and one at height ``H + 2`` or more
+    rejects the branch.
 
     >>> len(minimal_ribbon_tuples((3, 1)))
     12
@@ -290,47 +352,78 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     parts = tuple(p for p in lam if p > 0)
     if not parts:
         return ((),)
+    n = sum(parts)
+    # A leaf's sort key is its height vector read as a base-n number (every
+    # height is below n): entry e at height h adds h * n**(n - e).  The keys
+    # stay apart from the tuples: a (key, tuple) pair per leaf, freed after
+    # the sort, would leave holes among the cached rows and raise peak memory.
+    weight = [0] + [n ** (n - e) for e in range(1, n + 1)]
     found: list[RibbonTuple] = []
+    keys: list[int] = []
 
     def extend(
-        i: int, free: tuple, rows: list, left: int, placed: RibbonTuple, later: list
+        i: int, free: list, rows: list, left: int, placed: RibbonTuple, later: list, key: int
     ) -> None:
         # ``rows``: the rows of component i chosen so far, ``left`` cells to go;
-        # ``placed``: components i+1..; ``later[h]``: their entries at height h.
+        # ``placed``: components i+1..; ``later[h]``: their entries at height h;
+        # ``key``: the sort key of the entries placed so far.
         r = len(rows)
         if left == 0:
-            if not all(
-                _settled(y, h, (), rows[-1] if h == r else ())
-                for h in range(r, len(later))
-                for y in later[h]
-            ):
-                return
+            top = rows[-1]
+            for h in range(r, len(later)):
+                if not _settled(later[h], h, (), top if h == r else ()):
+                    return
             placed = (tuple(rows),) + placed
             if i == 0:
                 found.append(placed)
+                keys.append(key)
                 return
             merged = [
                 (later[h] if h < len(later) else ()) + (rows[h] if h < r else ())
                 for h in range(max(len(later), r))
             ]
-            extend(i - 1, free, [], parts[i - 1], placed, merged)
+            extend(i - 1, free, [], parts[i - 1], placed, merged, key)
             return
         below = rows[-1] if rows else ()
-        cells = later[r] if r < len(later) else ()
-        for size in range(1, left + 1):
-            for chosen in itertools.combinations(free, size):
-                if rows and chosen[-1] <= below[0]:
-                    continue
-                if not all(_settled(y, r, chosen, below) for y in cells):
-                    continue
-                rows.append(chosen)
-                rest = tuple(v for v in free if v not in chosen)
-                extend(i, rest, rows, left - size, placed, later)
-                rows.pop()
+        need = 1 if r > 0 else 0
+        lo = below[0] if below else 0
+        hi = cap = n + 1
+        for y in later[r] if r < len(later) else ():
+            met = 0
+            for x in below:
+                if x < y:
+                    met += 1
+            if met == need:
+                if y < hi:
+                    hi = y
+            elif met == need - 1:
+                if y < cap:
+                    cap = y
+            else:
+                return
+        lasts = [v for v in free if lo < v < hi]
+        if not lasts:
+            return
+        bound = min(cap, lasts[-1])
+        pool = [v for v in free if v < bound]
+        for size in range(1, min(left, len(pool) + 1) + 1):
+            for head in itertools.combinations(pool, size - 1):
+                start = bisect.bisect_right(lasts, head[-1]) if head else 0
+                head_weight = 0
+                for e in head:
+                    head_weight += weight[e]
+                for last in lasts[start:]:
+                    chosen = head + (last,)
+                    rows.append(chosen)
+                    rest = [v for v in free if v not in chosen]
+                    row_key = key + r * (head_weight + weight[last])
+                    extend(i, rest, rows, left - size, placed, later, row_key)
+                    rows.pop()
 
     k = len(parts) - 1
-    extend(k, tuple(range(1, sum(parts) + 1)), [], parts[k], (), [])
-    return tuple(sorted(found, key=height_vector))
+    extend(k, list(range(1, n + 1)), [], parts[k], (), [], 0)
+    order = sorted(range(len(found)), key=keys.__getitem__)
+    return tuple([found[k] for k in order])
 
 
 def verify_minimal_ribbons(lam: Partition) -> bool:
@@ -438,46 +531,58 @@ def algorithm_tableau(tup: RibbonTuple) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _ribbon_from_heights(entries_with_heights: dict[int, int]) -> Ribbon:
-    """Assemble a single ribbon from an entry->height map; rows are the
-    sorted height classes.  Raises ``ReconstructionError`` if the heights
-    skip a level or some row fails to top its predecessor.
-    """
-    by_height: dict[int, list[int]] = {}
-    for entry, h in entries_with_heights.items():
-        by_height.setdefault(h, []).append(entry)
-    rows = []
-    for h in range(max(by_height) + 1):
-        if h not in by_height:
-            raise ReconstructionError(f"no cell at height {h}")
-        rows.append(tuple(sorted(by_height[h])))
-    ribbon = tuple(rows)
-    if not is_valid_ribbon(ribbon):
-        raise ReconstructionError(f"invalid ribbon rows {ribbon}")
-    return ribbon
-
-
 def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
     """The unique minimal tuple of shape ``lam`` with height vector ``a``.
 
     Runs :func:`algorithm_sequence` to split ``1..n`` into component entry
-    sets, groups each set by height, and validates the result (well-formed
-    components, minimality, height vector round-trip).
+    sets, puts each entry ``j`` of a set in the row at height ``a_j`` of its
+    component, and checks the result once.  Raises ``ValueError`` if
+    ``lam`` and ``a`` differ in size, and otherwise
+    :class:`ReconstructionError` with the message of the first failed check:
+
+    - ``set recovery failed for a``: :func:`algorithm_sequence` ran out of
+      candidates;
+    - ``no cell at height h``: a component has rows above an empty height;
+    - ``invalid ribbon rows ...``: a component fails
+      :func:`is_valid_ribbon` (a row fails to top the row below, or the
+      component has no row at all, as with a zero part of ``lam``);
+    - ``invalid tuple for a``: the entries are not exactly ``1..n`` or the
+      sizes are not ``lam``; a negative entry of ``a`` gets no cell, so it
+      ends here if nothing above caught it;
+    - ``height vector mismatch for a``: the round trip fails;
+    - ``tuple for a is not minimal``: :func:`is_minimal` fails.
+
+    >>> reconstruct((0, 1, 0), (2, 1))
+    (((1,), (2,)), ((3,),))
+    >>> reconstruct((), ())
+    ()
     """
     try:
         blocks = algorithm_sequence(a, lam)
     except DoesNotTerminate as exc:
         raise ReconstructionError(f"set recovery failed for {a}") from exc
-    components = tuple(
-        _ribbon_from_heights({j: a[j - 1] for j in block}) for block in blocks
-    )
-    if not is_valid(components, lam):
+    components = []
+    for block in blocks:
+        top = max([a[j - 1] for j in block], default=-1)
+        rows: list[list[int]] = [[] for _ in range(top + 1)]
+        for j in sorted(block):
+            if a[j - 1] >= 0:  # a negative height gets no cell, which _fills catches
+                rows[a[j - 1]].append(j)
+        for h, row in enumerate(rows):
+            if not row:
+                raise ReconstructionError(f"no cell at height {h}")
+        ribbon = tuple([tuple(row) for row in rows])
+        if not is_valid_ribbon(ribbon):
+            raise ReconstructionError(f"invalid ribbon rows {ribbon}")
+        components.append(ribbon)
+    tup = tuple(components)
+    if not _fills(tup, lam):
         raise ReconstructionError(f"invalid tuple for {a}")
-    if height_vector(components) != tuple(a):
+    if height_vector(tup) != tuple(a):
         raise ReconstructionError(f"height vector mismatch for {a}")
-    if not is_minimal(components):
+    if not is_minimal(tup):
         raise ReconstructionError(f"tuple for {a} is not minimal")
-    return components
+    return tup
 
 
 def _column_spans(comp: Ribbon) -> list[tuple[int, int]]:

@@ -293,6 +293,39 @@ def test_reconstruct_rejects_non_members():
         reconstruct((1, 1, 0, 0), (3, 1))  # not a descent composition at all
 
 
+def test_reconstruct_accepts_exactly_d_lambda():
+    # every a in {0..n-1}^n: a tuple with height vector a iff a is in D_lam;
+    # n = 0 included, where D_() = ((),) and the tuple is ()
+    for n in range(6):
+        for lam in partitions(n):
+            members = set(descent_compositions_lambda(lam))
+            for a in itertools.product(range(n), repeat=n):
+                if a in members:
+                    tup = reconstruct(a, lam)
+                    assert is_valid(tup, lam) and is_minimal(tup)
+                    assert height_vector(tup) == a
+                else:
+                    with pytest.raises(ReconstructionError):
+                        reconstruct(a, lam)
+    with pytest.raises(ReconstructionError):
+        reconstruct((-1, 0), (2,))  # no cell for the negative entry
+    with pytest.raises(ReconstructionError):
+        reconstruct((-1, 0), (1, 1))
+    with pytest.raises(ValueError):
+        reconstruct((0, 0), (1,))  # lengths differ
+
+
+def test_reconstruct_checks_minimality(monkeypatch):
+    # no a gets past every other check with a non-minimal tuple, so feed the
+    # check the blocks of one
+    import gpdescent.ribbon as ribbon_module
+
+    blocks = tuple(tuple(e for row in comp for e in row) for comp in DOFF_TUPLE)
+    monkeypatch.setattr(ribbon_module, "algorithm_sequence", lambda a, lam: blocks)
+    with pytest.raises(ReconstructionError, match="not minimal"):
+        reconstruct(height_vector(DOFF_TUPLE), (6, 2, 1))
+
+
 def coordinate_dinv_pairs(tup, gap):
     """Independent recomputation of the dinv pairs from absolute cell
     coordinates: same row with the bigger entry strictly west, or one row
