@@ -173,7 +173,7 @@ def cmd_hall_littlewood(args) -> int:
 def cmd_verify(args) -> int:
     lam = _parse_checked(args.partition, check_partition)
     bound = resolve_bound(args, tanisaki.DEFAULT_BOUND)
-    checks = args.checks.split(",") if args.checks else CHECKS
+    checks = CHECKS if args.checks is None else args.checks.split(",")
     unknown = [name for name in checks if name not in CHECKS]
     if unknown:
         raise UsageError(

@@ -21,6 +21,23 @@ the degree-``d`` generators supply the rest of ``I_d``.  This needs at most
 ``n * dim R_{d-1}`` columns where the ideal slice has one per monomial of
 degree ``d``.
 
+Most of those rows are redundant, and two exact rules leave them out:
+
+* Koszul rule: ``K_ij(c) = x_i NF(x_j c) - x_j NF(x_i c)``, ``i < j``, is
+  kept only when the standard monomial ``c`` uses no variable after
+  ``x_j``.  If ``x_k`` divides ``c`` with ``k > j``, the Koszul identity
+  (``d^2 = 0``, with ``NF(c) = c``) gives ``K_ij(c) = K_ik(NF(x_j c / x_k))
+  - K_jk(NF(x_i c / x_k))``, both with a larger second index, so
+  induction on ``j`` from ``n`` down puts every skipped row in the span of
+  the kept ones.
+* Generator rule: the row of ``e_d(S)`` is kept only when
+  ``d <= |S| - p(|S| - 1)`` (``p`` is :func:`p_stat`; this holds for
+  ``d = 1``).  Otherwise ``e_d(S) = e_d(S - x) + x e_{d-1}(S - x)`` with
+  ``e_{d-1}(S - x)`` a generator of degree ``d - 1``, so the lift of the
+  second term lies in the Koszul span and the row reduces to that of
+  ``e_d(S - x)``, which is zero or another generator row; induction on
+  ``|S|`` finishes.
+
 One column order serves every purpose: among the monomials of degree
 ``d``, taken smallest first in the descent order, the standard ones are
 those whose class is independent of the classes of the smaller ones.
@@ -156,6 +173,30 @@ def _exact(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
+def _koszul_row_needed(c: Exponent, j: int) -> bool:
+    """Whether the Koszul rows ``K_ij(c)``, ``i < j``, are kept: ``c`` uses
+    no variable after ``x_j`` (indices from 0).  The others lie in the span
+    of the kept ones (module docstring).
+
+    >>> _koszul_row_needed((1, 0, 1), 2), _koszul_row_needed((1, 0, 1), 1)
+    (True, False)
+    """
+    return not any(c[j + 1 :])
+
+
+def _generator_row_needed(lam: Partition, n: int, size: int, d: int) -> bool:
+    """Whether the row of a generator ``e_d(S)`` with ``|S| = size`` is
+    kept: ``d <= size - p(size - 1)``.  For larger ``d`` the row lies in
+    the span of the Koszul rows and the other generator rows (module
+    docstring).  Every ``d = 1`` row is kept, as ``p(m) <= m``: the padded
+    conjugate decreases and averages 1.
+
+    >>> _generator_row_needed((3,), 3, 2, 1), _generator_row_needed((3,), 3, 2, 2)
+    (True, False)
+    """
+    return d <= size - p_stat(lam, n, size - 1)
+
+
 @lru_cache(maxsize=None)
 def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     """Degree ``degree`` of the quotient by the ideal of ``lam`` in ``n``
@@ -166,7 +207,13 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     degree is lifted to the columns as ``x_i NF(m / x_i)`` for the first
     variable ``x_i`` dividing it; that is how generators enter the
     relations, and how the monomials are walked, smallest first, to pick
-    out the standard ones.  A slice runs two eliminations, each
+    out the standard ones.  The relations are the Koszul rows ``K_ij(c)``
+    whose ``c`` uses no variable after ``x_j``, since ``K_ij(x_k c') =
+    K_ik(NF(x_j c')) - K_jk(NF(x_i c'))`` for ``k > j``, and the generator
+    rows of ``e_d(S)`` with ``d <= |S| - p(|S| - 1)``, since
+    otherwise ``e_d(S) = e_d(S - x) + x e_{d-1}(S - x)`` with the second
+    term in the Koszul span (:func:`_koszul_row_needed`,
+    :func:`_generator_row_needed`).  A slice runs two eliminations, each
     back-substituted once in integers: the relations, which give every
     column modulo them on the free (non-pivot) columns, and the walked
     images, each with a tag column for its position, whose reduced rows
@@ -189,12 +236,14 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     if degree >= 2:
         for c in _quotient_slice(lam, n, degree - 2).standard:
             for i, j in itertools.combinations(range(n), 2):
+                if not _koszul_row_needed(c, j):
+                    continue
                 row = {column[i, b]: v for b, v in below.normal_forms[_shift(c, j, 1)].items()}
                 for b, v in below.normal_forms[_shift(c, i, 1)].items():
                     row[column[j, b]] = -v
                 relations.append(row)
     for subset, d in tanisaki_ideal(lam, n).generators:
-        if d == degree:
+        if d == degree and _generator_row_needed(lam, n, len(subset), d):
             generator = elementary_symmetric(d, subset, n)
             relations.append(_combine(generator, {exp: lift(exp) for exp in generator}))
     echelon = Echelon()

@@ -172,6 +172,17 @@ def test_verify_rejects_unknown_checks(capsys):
     assert "basis,leading,parabolic,phi,minimal-ribbons" in err
 
 
+def test_verify_rejects_empty_check_names(capsys):
+    # an empty name is an unknown one, not the default set of checks (which
+    # skips phi quietly only when --checks is absent)
+    for checks in ("", ",", "basis,,leading", "basis,"):
+        code, out, err = run(capsys, "verify", "5", "--checks", checks)
+        assert (code, out) == (2, ""), checks
+        assert "unknown checks" in err, checks
+    code, _, err = run(capsys, "verify", "5")
+    assert (code, err) == (0, "")
+
+
 def test_verify_leading_alone(capsys):
     code, out, _ = run(capsys, "verify", "2,1", "--checks", "leading")
     assert code == 0

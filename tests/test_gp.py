@@ -21,6 +21,8 @@ from gpdescent.polynomial import (
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
 from gpdescent.tanisaki import (
     ResourceBoundError,
+    _generator_row_needed,
+    _koszul_row_needed,
     _quotient_normal_form,
     _quotient_slice,
     antisymmetrized_extreme_exponents,
@@ -152,6 +154,13 @@ def test_hilbert_matches_full_size_coefficient_up_to_5():
             assert hilbert_series(lam) == coeff
 
 
+def test_hilbert_matches_full_size_coefficient_at_6():
+    # past the full-slice oracle's reach, the expansion side checks every
+    # quotient slice of size 6 on its own
+    for lam in partitions(6):
+        assert hilbert_series(lam) == hall_littlewood_by_descents(lam).get((1,) * 6), lam
+
+
 def test_ideal_slice_basis_examples():
     from gpdescent.tanisaki import ideal_slice_basis
 
@@ -224,6 +233,65 @@ def test_quotient_slice_matches_full_slice_oracle():
                     assert {monos[c]: v for c, v in reduced.items()} == nf, (lam, degree, exp)
                     # every normal form here is integral, with int coefficients
                     assert all(type(c) is int for c in nf.values())
+
+
+def _relation_rows(lam, n, degree):
+    """Every Koszul row and every degree-``degree`` generator row of the
+    slice presentation, in the columns ``(i, b)`` = ``x_i * b``, each with
+    whether the row predicates of ``_quotient_slice`` keep it."""
+    below = _quotient_slice(lam, n, degree - 1)
+    column = {key: k for k, key in enumerate(itertools.product(range(n), below.standard))}
+
+    def shift(exp, i, delta):
+        return exp[:i] + (exp[i] + delta,) + exp[i + 1 :]
+
+    def add(row, i, exp, coeff):
+        # row += coeff * x_i (x) NF(exp)
+        for b, v in below.normal_forms[exp].items():
+            row[column[i, b]] = row.get(column[i, b], 0) + coeff * v
+
+    rows = []
+    if degree >= 2:
+        for c in _quotient_slice(lam, n, degree - 2).standard:
+            for i, j in itertools.combinations(range(n), 2):
+                row = {}
+                add(row, i, shift(c, j, 1), 1)
+                add(row, j, shift(c, i, 1), -1)
+                rows.append((_koszul_row_needed(c, j), row))
+    for subset, d in tanisaki_ideal(lam, n).generators:
+        if d == degree:
+            row = {}
+            for exp, coeff in elementary_symmetric(d, subset, n).items():
+                i = next(k for k, e in enumerate(exp) if e)
+                add(row, i, shift(exp, i, -1), coeff)
+            rows.append((_generator_row_needed(lam, n, len(subset), d), row))
+    return rows
+
+
+def certify_skipped_relation_rows(max_n):
+    """Assert that every relation row the predicates skip lies in the span
+    of the rows they keep, for every slice of every ideal of size up to
+    ``max_n``; return the numbers of kept and skipped rows."""
+    kept = skipped = 0
+    for n in range(1, max_n + 1):
+        for lam in partitions(n):
+            for degree in range(1, n_stat(lam) + 2):
+                rows = _relation_rows(lam, n, degree)
+                echelon = Echelon()
+                for needed, row in rows:
+                    if needed:
+                        echelon.add_row(row)
+                for needed, row in rows:
+                    if not needed:
+                        assert echelon.contains(row), (lam, degree, row)
+                kept += sum(needed for needed, _ in rows)
+                skipped += sum(not needed for needed, _ in rows)
+    return kept, skipped
+
+
+def test_skipped_relation_rows_lie_in_the_span_of_the_kept_ones():
+    kept, skipped = certify_skipped_relation_rows(5)
+    assert kept and skipped
 
 
 def test_back_substitute_keeps_the_row_space():
