@@ -298,7 +298,6 @@ def in_descent_compositions_lambda(a: Composition, lam: Partition) -> bool:
     return descent_composition_witness(a, lam) is not None
 
 
-@lru_cache(maxsize=None)
 def j_maj(lam: Partition) -> tuple[Permutation, ...]:
     """The permutations whose major index tables lie in ``D_lam``, listed in
     the order of their tables in :func:`descent_compositions_lambda`.

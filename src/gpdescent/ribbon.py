@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from functools import lru_cache
 from typing import Iterator
 
 from .core import (
@@ -308,7 +307,6 @@ def ribbon_tuples(lam: Partition) -> Iterator[RibbonTuple]:
             yield combo
 
 
-@lru_cache(maxsize=None)
 def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     """The minimal tuples of shape ``lam``, sorted by height vector.
 
@@ -355,8 +353,8 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     n = sum(parts)
     # A leaf's sort key is its height vector read as a base-n number (every
     # height is below n): entry e at height h adds h * n**(n - e).  The keys
-    # stay apart from the tuples: a (key, tuple) pair per leaf, freed after
-    # the sort, would leave holes among the cached rows and raise peak memory.
+    # stay apart from the tuples: a (key, tuple) pair per leaf would add one
+    # more object per leaf while the leaves are sorted, at the memory peak.
     weight = [0] + [n ** (n - e) for e in range(1, n + 1)]
     found: list[RibbonTuple] = []
     keys: list[int] = []
@@ -542,15 +540,17 @@ def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
 
     - ``set recovery failed for a``: :func:`algorithm_sequence` ran out of
       candidates;
-    - ``no cell at height h``: a component has rows above an empty height;
     - ``invalid ribbon rows ...``: a component fails
-      :func:`is_valid_ribbon` (a row fails to top the row below, or the
-      component has no row at all, as with a zero part of ``lam``);
+      :func:`is_valid_ribbon` (a row is empty, as no entry of the block has
+      its height; a row fails to top the row below; or the component has no
+      row at all, as with a zero part of ``lam``);
     - ``invalid tuple for a``: the entries are not exactly ``1..n`` or the
       sizes are not ``lam``; a negative entry of ``a`` gets no cell, so it
       ends here if nothing above caught it;
-    - ``height vector mismatch for a``: the round trip fails;
     - ``tuple for a is not minimal``: :func:`is_minimal` fails.
+
+    Once the entries are exactly ``1..n``, each ``j`` sits at height
+    ``a_j``, so the height vector of the result is ``a``.
 
     >>> reconstruct((0, 1, 0), (2, 1))
     (((1,), (2,)), ((3,),))
@@ -568,9 +568,6 @@ def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
         for j in sorted(block):
             if a[j - 1] >= 0:  # a negative height gets no cell, which _fills catches
                 rows[a[j - 1]].append(j)
-        for h, row in enumerate(rows):
-            if not row:
-                raise ReconstructionError(f"no cell at height {h}")
         ribbon = tuple([tuple(row) for row in rows])
         if not is_valid_ribbon(ribbon):
             raise ReconstructionError(f"invalid ribbon rows {ribbon}")
@@ -578,8 +575,6 @@ def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
     tup = tuple(components)
     if not _fills(tup, lam):
         raise ReconstructionError(f"invalid tuple for {a}")
-    if height_vector(tup) != tuple(a):
-        raise ReconstructionError(f"height vector mismatch for {a}")
     if not is_minimal(tup):
         raise ReconstructionError(f"tuple for {a} is not minimal")
     return tup

@@ -64,17 +64,17 @@ from types import MappingProxyType
 from .core import (
     Composition,
     Partition,
+    block_interior,
     check_partition,
     conjugate,
-    is_reverse_shuffle,
     multinomial,
     n_stat,
     ordered_set_partitions,
     pad,
     partitions,
 )
-from . import descent
 from .descent import (
+    ascent_set,
     descent_compositions_lambda,
     descent_key,
     restrict,
@@ -90,7 +90,7 @@ from .polynomial import (
     mul_monomial,
     split_exponent,
 )
-from .symfunc import TPoly, hall_littlewood_omega_by_descents
+from .symfunc import TPoly, hall_littlewood_by_ribbons
 
 
 class ResourceBoundError(RuntimeError):
@@ -510,13 +510,15 @@ def parabolic_basis_elements(lam: Partition, mu: Composition) -> list[tuple[Comp
 
 def _reverse_shuffle_part(lam: Partition, mu: Composition) -> list[Composition]:
     """The exponents ``majt(tau)`` of the reverse shuffles ``tau`` of ``mu``
-    in the shape-``lam`` major-index family, by degree, then exponent."""
+    in the shape-``lam`` major-index family, by degree, then exponent.
+    The inverse descent set of ``tau`` is the ascent set of its table, so
+    ``tau`` is never built: ``a`` is kept when its ascent set contains the
+    block interiors of ``mu``."""
     lam = check_partition(lam)
     if sum(mu) != sum(lam):
         raise ValueError("mu must be a composition of the same n")
-    # j_maj lists majt_inverse of the family it is built from, in its order
-    pairs = zip(descent.descent_compositions_lambda(lam), descent.j_maj(lam))
-    kept = [a for a, tau in pairs if is_reverse_shuffle(tau, mu)]
+    interior = block_interior(mu)
+    kept = [a for a in descent_compositions_lambda(lam) if interior <= ascent_set(a)]
     return sorted(kept, key=lambda a: (sum(a), a))
 
 
@@ -575,7 +577,9 @@ def verify_parabolic_basis(
     conjugate ideal, with graded count equal to the rank of the induced
     antisymmetrization operator degree by degree.  When ``mu`` is a
     partition the graded count is also compared against the ``m_mu``
-    coefficient of the sign-twisted expansion indexed by the conjugate.
+    coefficient of the sign-twisted expansion indexed by the conjugate,
+    taken from the ribbon route (area over the minimal ribbon tuples of
+    shape ``lam``), which shares no step with the count.
     """
     lam = check_partition(lam)
     n = sum(lam)
@@ -616,7 +620,7 @@ def verify_parabolic_basis(
 
     matches = None
     if tuple(sorted(mu, reverse=True)) == mu and all(part > 0 for part in mu):
-        coeff = hall_littlewood_omega_by_descents(ideal_shape).get(mu, TPoly.zero())
+        coeff = hall_littlewood_by_ribbons(lam, twisted=True).get(mu, TPoly.zero())
         matches = coeff == count_poly
 
     return ParabolicReport(lam, mu, count_poly, independent, spans, matches)

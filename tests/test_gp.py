@@ -478,17 +478,20 @@ def test_parabolic_trivial_mu():
 
 def test_parabolic_check_needs_every_degree(monkeypatch):
     # D_(2,1) without its degree-0 member cannot span the degree-0 piece,
-    # although the reverse-shuffle part (taken from j_maj) still has it
+    # although the reverse-shuffle part (taken from the untrimmed family)
+    # still has it
     import gpdescent.tanisaki as tanisaki_module
 
     family = tanisaki_module.descent_compositions_lambda((2, 1))
     assert (0, 0, 0) in family
+    untrimmed = tanisaki_module._reverse_shuffle_part((2, 1), (1, 1, 1))
     trimmed = tuple(a for a in family if sum(a))
     monkeypatch.setattr(
         tanisaki_module,
         "descent_compositions_lambda",
         lambda lam: trimmed if lam == (2, 1) else family,
     )
+    monkeypatch.setattr(tanisaki_module, "_reverse_shuffle_part", lambda *_: untrimmed)
     report = verify_parabolic_basis((2, 1), (1, 1, 1))
     assert report.independent
     assert not report.spans

@@ -1,12 +1,13 @@
-"""The parabolic check against its per-exponent oracle, and the sign and
-zero rules of the Young-subgroup antisymmetrizer that let the check
+"""The parabolic check against its per-exponent oracle, which picks the
+reverse-shuffle part by building each permutation of J^maj, and the sign
+and zero rules of the Young-subgroup antisymmetrizer that let the check
 antisymmetrize each block-sorted exponent once."""
 
 import itertools
 import random
 
-from gpdescent.core import conjugate, partitions
-from gpdescent.descent import descent_compositions_lambda
+from gpdescent.core import conjugate, is_reverse_shuffle, partitions
+from gpdescent.descent import descent_compositions_lambda, j_maj
 from gpdescent.linalg import matrix_rank
 from gpdescent.polynomial import antisymmetrize, monomial
 from gpdescent.symfunc import TPoly, hall_littlewood_omega_by_descents
@@ -47,8 +48,16 @@ def ranks_by_exponent(lam, mu, family, kept) -> tuple[bool, bool]:
     return independent, spans
 
 
+def reverse_shuffle_part_by_permutation(lam, mu):
+    """The exponents whose permutation in J^maj is a reverse shuffle of
+    ``mu``, by degree, then exponent."""
+    pairs = zip(descent_compositions_lambda(lam), j_maj(lam))
+    kept = [a for a, tau in pairs if is_reverse_shuffle(tau, mu)]
+    return sorted(kept, key=lambda a: (sum(a), a))
+
+
 def parabolic_report_by_exponent(lam, mu) -> ParabolicReport:
-    kept = _reverse_shuffle_part(lam, mu)
+    kept = reverse_shuffle_part_by_permutation(lam, mu)
     independent, spans = ranks_by_exponent(lam, mu, descent_compositions_lambda(lam), kept)
     count_poly = TPoly({d: len(group) for d, group in _by_degree(kept).items()})
     matches = None
@@ -71,6 +80,26 @@ def test_parabolic_check_matches_per_exponent_oracle():
             for mu in partitions(n) + (UNSORTED_MU if n == 4 else []):
                 expected = parabolic_report_by_exponent(lam, mu)
                 assert verify_parabolic_basis(lam, mu) == expected, (lam, mu)
+
+
+def test_parabolic_count_is_compared_with_the_ribbon_route(monkeypatch):
+    # The count and the descent route both tally D_lam, so the comparison
+    # must take the other route: a wrong ribbon coefficient is a mismatch.
+    import gpdescent.tanisaki as tanisaki_module
+
+    lam, mu = (3, 2), (2, 2, 1)
+    real = tanisaki_module.hall_littlewood_by_ribbons
+    assert verify_parabolic_basis(lam, mu).matches_expansion is True
+
+    def perturbed(shape, twisted=False):
+        expansion = real(shape, twisted)
+        expansion[mu] = expansion[mu] + TPoly.monomial(0)
+        return expansion
+
+    monkeypatch.setattr(tanisaki_module, "hall_littlewood_by_ribbons", perturbed)
+    report = verify_parabolic_basis(lam, mu)
+    assert report.matches_expansion is False
+    assert report.independent and report.spans and not report.ok
 
 
 def test_parabolic_check_matches_per_exponent_oracle_on_perturbed_families(monkeypatch):

@@ -8,6 +8,7 @@ from gpdescent.parking import (
     NotAParkingFunction,
     ParkingFunction,
     TouchConstraintError,
+    _doff_weights,
     area,
     check_valid,
     dinv,
@@ -166,15 +167,18 @@ def test_minimal_family_degenerate():
 
 def test_min_statistic_value_up_to_7():
     # dinv + doff over the touch family is minimized exactly at n(lam), and
-    # the minimal family is selected by that exact value
+    # the minimal family is selected by that exact value; the family is
+    # valid and touching by construction, so doff is read off its weights
     for n in range(1, 8):
         for lam in partitions(n):
             alpha = tuple(reversed(lam))
+            weights = _doff_weights(alpha)
             target = n_stat(lam)
             hits = []
             minimum = None
             for pf in parking_functions_alpha(alpha):
-                value = dinv(pf) + doff(pf, alpha)
+                doff_value = sum(w for w, level in zip(weights, pf.area) if level == 0)
+                value = dinv(pf) + doff_value
                 if minimum is None or value < minimum:
                     minimum = value
                 if value == target:
