@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import (
     Composition,
@@ -307,8 +307,20 @@ def ribbon_tuples(lam: Partition) -> Iterator[RibbonTuple]:
             yield combo
 
 
-def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
-    """The minimal tuples of shape ``lam``, sorted by height vector.
+Leaf = Callable[[list[int], list[int], list[Ribbon]], None]
+
+
+def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
+    """Call ``leaf(height, comp, components)`` once for every minimal tuple
+    with component sizes ``parts`` (positive, in any order), in search order.
+
+    ``height[e]`` is the row of entry ``e`` and ``comp[e]`` the index of its
+    component (index 0 of both is unused); ``components[i]`` is component
+    ``i`` as a tuple of rows, built once when the component closes and
+    shared by every leaf that extends it.  The three lists are updated in
+    place and reused from one leaf to the next, so a leaf must read them
+    before it returns and must not keep them (the tuples inside may be
+    kept).
 
     A depth-first search that only ever extends partial tuples that can
     still be minimal, instead of filtering all ``n!`` ribbon tuples with
@@ -336,52 +348,34 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     entry: it has ``met == 0`` and ``r > 0``, so it lies below
     ``min(row r-1) = lo`` already.
 
-    Rows of each size come in the order of :func:`itertools.combinations`.
-    When component ``i`` closes with top row ``H``, the later cells above it
-    are settled against its empty rows: one at height ``H + 1`` needs
-    exactly one ``x < y`` in row ``H``, and one at height ``H + 2`` or more
-    rejects the branch.
+    A row after which its component goes on is skipped when no free entry
+    is left above its first entry, since the next row could then have no
+    last entry.  A row that completes its component closes it in place:
+    the later cells above it are settled against its empty rows, so one at
+    height ``r + 1`` needs exactly one ``x < y`` in row ``r``, and one at
+    height ``r + 2`` or more rejects the branch.
 
-    >>> len(minimal_ribbon_tuples((3, 1)))
-    12
-    >>> minimal_ribbon_tuples(())
-    ((),)
+    >>> found = []
+    >>> _minimal_tuple_search((2, 1), lambda height, comp, components: found.append(
+    ...     (height[1:], comp[1:], tuple(components))))
+    >>> for item in sorted(found):
+    ...     print(*item)
+    [0, 0, 0] [0, 0, 1] (((1, 2),), ((3,),))
+    [0, 0, 1] [0, 1, 0] (((1,), (3,)), ((2,),))
+    [0, 1, 0] [0, 0, 1] (((1,), (2,)), ((3,),))
     """
-    parts = tuple(p for p in lam if p > 0)
-    if not parts:
-        return ((),)
     n = sum(parts)
-    # A leaf's sort key is its height vector read as a base-n number (every
-    # height is below n): entry e at height h adds h * n**(n - e).  The keys
-    # stay apart from the tuples: a (key, tuple) pair per leaf would add one
-    # more object per leaf while the leaves are sorted, at the memory peak.
-    weight = [0] + [n ** (n - e) for e in range(1, n + 1)]
-    found: list[RibbonTuple] = []
-    keys: list[int] = []
+    height = [0] * (n + 1)
+    comp = [0] * (n + 1)
+    components: list[Ribbon] = [() for _ in parts]
+    if not parts:
+        leaf(height, comp, components)
+        return
 
-    def extend(
-        i: int, free: list, rows: list, left: int, placed: RibbonTuple, later: list, key: int
-    ) -> None:
-        # ``rows``: the rows of component i chosen so far, ``left`` cells to go;
-        # ``placed``: components i+1..; ``later[h]``: their entries at height h;
-        # ``key``: the sort key of the entries placed so far.
+    def extend(i: int, free: list, rows: list, left: int, later: list) -> None:
+        # ``rows``: the rows of component i chosen so far, ``left`` cells to
+        # go; ``later[h]``: the entries of components i+1.. at height h.
         r = len(rows)
-        if left == 0:
-            top = rows[-1]
-            for h in range(r, len(later)):
-                if not _settled(later[h], h, (), top if h == r else ()):
-                    return
-            placed = (tuple(rows),) + placed
-            if i == 0:
-                found.append(placed)
-                keys.append(key)
-                return
-            merged = [
-                (later[h] if h < len(later) else ()) + (rows[h] if h < r else ())
-                for h in range(max(len(later), r))
-            ]
-            extend(i - 1, free, [], parts[i - 1], placed, merged, key)
-            return
         below = rows[-1] if rows else ()
         need = 1 if r > 0 else 0
         lo = below[0] if below else 0
@@ -402,24 +396,80 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
         lasts = [v for v in free if lo < v < hi]
         if not lasts:
             return
+        # closing the component at row r leaves the later cells above it
+        # to be settled: those at r + 1 against this row, none higher
+        closes = len(later) <= r + 2
+        above = later[r + 1] if len(later) == r + 2 else ()
         bound = min(cap, lasts[-1])
         pool = [v for v in free if v < bound]
         for size in range(1, min(left, len(pool) + 1) + 1):
+            goes_on = size < left
+            if not (goes_on or closes):
+                continue
             for head in itertools.combinations(pool, size - 1):
                 start = bisect.bisect_right(lasts, head[-1]) if head else 0
-                head_weight = 0
                 for e in head:
-                    head_weight += weight[e]
+                    height[e] = r
+                    comp[e] = i
                 for last in lasts[start:]:
                     chosen = head + (last,)
+                    if goes_on:
+                        if chosen[0] == free[-size]:
+                            continue  # every free entry above chosen[0] is in chosen
+                    elif not _settled(above, r + 1, (), chosen):
+                        continue
+                    height[last] = r
+                    comp[last] = i
                     rows.append(chosen)
-                    rest = [v for v in free if v not in chosen]
-                    row_key = key + r * (head_weight + weight[last])
-                    extend(i, rest, rows, left - size, placed, later, row_key)
+                    if goes_on:
+                        extend(i, [v for v in free if v not in chosen], rows, left - size, later)
+                    else:
+                        components[i] = tuple(rows)
+                        if i == 0:
+                            leaf(height, comp, components)
+                        else:
+                            merged = [
+                                (later[h] if h < len(later) else ()) + (rows[h] if h <= r else ())
+                                for h in range(max(len(later), r + 1))
+                            ]
+                            rest = [v for v in free if v not in chosen]
+                            extend(i - 1, rest, [], parts[i - 1], merged)
                     rows.pop()
 
     k = len(parts) - 1
-    extend(k, list(range(1, n + 1)), [], parts[k], (), [], 0)
+    extend(k, list(range(1, n + 1)), [], parts[k], [])
+
+
+def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
+    """The minimal tuples of shape ``lam``, sorted by height vector.
+
+    Collects every tuple that :func:`_minimal_tuple_search` finds, keyed by
+    its height vector read as a base-``n`` number (every height is below
+    ``n``), and sorts by the keys, which are distinct (:func:`reconstruct`).
+    The keys stay apart from the tuples: a (key, tuple) pair per leaf would
+    add one more object per leaf while the leaves are sorted, at the memory
+    peak.  A caller that only tallies statistics of the tuples reads them
+    off the search instead of holding this family, as
+    :func:`gpdescent.symfunc.hall_littlewood_by_ribbons` does.
+
+    >>> len(minimal_ribbon_tuples((3, 1)))
+    12
+    >>> minimal_ribbon_tuples(())
+    ((),)
+    """
+    parts = tuple(p for p in lam if p > 0)
+    n = sum(parts)
+    found: list[RibbonTuple] = []
+    keys: list[int] = []
+
+    def keep(height: list[int], comp: list[int], components: list[Ribbon]) -> None:
+        key = 0
+        for h in height:
+            key = key * n + h
+        keys.append(key)
+        found.append(tuple(components))
+
+    _minimal_tuple_search(parts, keep)
     order = sorted(range(len(found)), key=keys.__getitem__)
     return tuple([found[k] for k in order])
 

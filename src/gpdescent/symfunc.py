@@ -28,6 +28,12 @@ inverse descent set of ``sigma`` is the ascent set of ``a``.  Each ``a`` is
 still passed through ``majt_inverse``, which raises unless ``a`` is the
 table of a permutation.
 
+The ribbon route never builds the tuples either: it tallies each minimal
+tuple where the search finds it, from the row ``height[e]`` and component
+``comp[e]`` of each entry.  The area is the sum of the heights, and ``v`` is
+in the inverse descent set of the reading word exactly when ``v + 1`` sits
+in a higher row, or in the same row of an earlier component.
+
 Both indexings follow the convention that ``hall_littlewood_by_descents(lam)``
 returns the expansion of the polynomial indexed by ``lam`` itself, so the
 cross-check is ``hall_littlewood_by_descents(conjugate(lam)) ==
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from functools import lru_cache
+from operator import lt
 from types import MappingProxyType
 
 from .core import (
@@ -46,12 +53,11 @@ from .core import (
     check_partition,
     conjugate,
     dominates,
-    inverse_descent_set,
     n_stat,
     partitions,
 )
 from .descent import ascent_set, descent_compositions_lambda, majt_inverse
-from .ribbon import area, minimal_ribbon_tuples, reading_word
+from .ribbon import _minimal_tuple_search
 
 
 class TPoly:
@@ -206,9 +212,21 @@ def _descent_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
 
 @lru_cache(maxsize=None)
 def _ribbon_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
+    m = len(lam)  # above every component index
+    tally: dict[tuple[tuple[bool, ...], int], int] = {}
+
+    def count(height: list[int], comp: list[int], components: list) -> None:
+        # v is in iDes when v + 1 precedes v in the reading word, that is,
+        # when level[v + 1] > level[v]: v + 1 sits in a higher row, or in
+        # the same row of an earlier component (rows increase eastward).
+        level = [h * m - c for h, c in zip(height, comp)]
+        key = (tuple(map(lt, level[1:], level[2:])), sum(height))
+        tally[key] = tally.get(key, 0) + 1
+
+    _minimal_tuple_search(lam, count)
     classes: dict[frozenset[int], Counter] = defaultdict(Counter)
-    for tup in minimal_ribbon_tuples(lam):
-        classes[inverse_descent_set(reading_word(tup))][area(tup)] += 1
+    for (ascents, degree), total in tally.items():
+        classes[frozenset(v for v, up in enumerate(ascents, 1) if up)][degree] = total
     return _group(sum(lam), classes)
 
 
@@ -233,6 +251,13 @@ def hall_littlewood_by_ribbons(lam: Partition, twisted: bool = False) -> SymExpa
     ``lam``; the result is the polynomial indexed by the conjugate of
     ``lam``.  With ``twisted`` the reading words range over reverse
     shuffles and the result is the sign-twisted polynomial.
+
+    The tuples are tallied as the minimal-tuple search finds them, so the
+    family is never held and memory does not grow with it.  Plain
+    and twisted come from one search, cached per shape.
+
+    >>> hall_littlewood_by_ribbons((2,))[(1, 1)]
+    TPoly({0: 1, 1: 1})
     """
     pair = _ribbon_expansions(check_partition(lam))
     return dict(pair[1] if twisted else pair[0])

@@ -167,6 +167,28 @@ def test_verify_minimal_ribbons(monkeypatch):
     assert not verify_minimal_ribbons((2, 1))  # count differs
 
 
+def test_search_arrays_describe_each_leaf():
+    # the ribbon route reads height and comp instead of the tuple, so both
+    # must match the leaf's components
+    from gpdescent.ribbon import _minimal_tuple_search
+
+    for n in range(7):
+        for lam in partitions(n):
+            leaves = []
+
+            def check(height, comp, components):
+                tup = tuple(components)
+                assert height[1:] == list(height_vector(tup))
+                assert comp[1:] == [
+                    next(i for i, c in enumerate(tup) if any(e in row for row in c))
+                    for e in range(1, n + 1)
+                ]
+                leaves.append(tup)
+
+            _minimal_tuple_search(lam, check)
+            assert sorted(leaves) == sorted(minimal_ribbon_tuples(lam)), lam
+
+
 def test_single_row_shape_counts():
     # with a single component, minimal tuples are in bijection with the
     # descent compositions via the height vector

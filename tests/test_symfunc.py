@@ -204,6 +204,27 @@ def test_routes_agree_at_7():
         )
 
 
+def test_routes_agree_on_sampled_shapes_of_8():
+    # past the exhaustive range above: a few shapes of size 8, drawn the
+    # same way on every run
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=5)
+    @hypothesis.given(strategies.sampled_from(partitions(8)))
+    def routes_agree(lam):
+        assert expansions_equal(
+            hall_littlewood_by_descents(conjugate(lam)),
+            hall_littlewood_by_ribbons(lam),
+        )
+        assert expansions_equal(
+            hall_littlewood_omega_by_descents(conjugate(lam)),
+            hall_littlewood_by_ribbons(lam, twisted=True),
+        )
+
+    routes_agree()
+
+
 def test_cached_expansions_are_read_only():
     for expand in (
         hall_littlewood_by_descents,
