@@ -12,6 +12,7 @@ into ``head``; the value a shell reports for a process ended by SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -282,10 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building it costs about 30 times a parse.
+    # Sharing it is safe because parse_args never mutates it and it is
+    # never handed out; build_parser() still returns a fresh one.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -332,6 +332,9 @@ def minimal_parking_functions(alpha: Composition) -> list[ParkingFunction]:
                     extend(j + 1, free[:k] + free[k + 1 :], total + gain)
 
     extend(0, tuple(range(1, n + 1)), 0)
+    # extend reaches itself through its closure; breaking that cycle frees
+    # ``found`` now, not at the next cyclic garbage collection
+    del extend
     return sorted(found)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Composition,
@@ -438,6 +438,10 @@ def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
 
     k = len(parts) - 1
     extend(k, list(range(1, n + 1)), [], parts[k], [])
+    # extend reaches itself through its closure; breaking that cycle frees
+    # what the leaf holds (a caller's whole family) now, not at the next
+    # cyclic garbage collection
+    del extend
 
 
 def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
@@ -531,100 +535,143 @@ def algorithm_sequence(a: Composition, lam: Partition) -> tuple[tuple[int, ...],
     return tuple(blocks)
 
 
+def _recover(
+    unused: list[list[int]], sizes: Iterable[int], failure: Exception
+) -> list[tuple[list[int], list[list[int]]]]:
+    """The set recovery of the ribbon bijection, on entries bucketed by height.
+
+    ``unused[h]`` lists the entries at height ``h`` not yet picked, in
+    ascending order, and is consumed; it must end with an empty bucket, so
+    that a row above the highest entry can be read.  Block ``k`` takes
+    ``sizes[k]`` entries (none for a size of zero): the first is the
+    smallest entry at height 0; then each step goes to the smallest unused
+    entry one row up that is larger than the current one, if there is one,
+    and otherwise to the smallest unused entry in the highest non-empty row
+    at or below the current one.  Raises ``failure`` when no entry is left
+    to go to.
+
+    For each block, returns its entries in pick order and its entries
+    grouped by height (``rows[h]`` in pick order, not sorted).  A block
+    climbs one row at a time, so none of its rows is empty.  Once it drops
+    to a lower row, it never climbs again, since it dropped because the
+    rows in between were used up; so every step up opens a new top row.
+    """
+    blocks = []
+    for size in sizes:
+        picked: list[int] = []
+        rows: list[list[int]] = []
+        # start below height 0, so the first step takes its smallest entry
+        current, level = 0, -1
+        for _ in range(size):
+            above = unused[level + 1]
+            if above and above[-1] > current:
+                current = above.pop(bisect.bisect_right(above, current))
+                level += 1
+                rows.append([current])  # a step up always opens a new row
+            else:
+                while level >= 0 and not unused[level]:
+                    level -= 1
+                if level < 0:
+                    raise failure
+                current = unused[level].pop(0)
+                rows[level].append(current)
+            picked.append(current)
+        blocks.append((picked, rows))
+    return blocks
+
+
 def algorithm_tableau(tup: RibbonTuple) -> tuple[tuple[int, ...], ...]:
-    """The same recovery run directly on a ribbon tuple.
+    """The same recovery run directly on a ribbon tuple (:func:`_recover`).
 
     Each block starts at the smallest unused bottom-row entry; then it
     repeatedly moves to the smallest unused larger entry one row up if one
     exists, and otherwise to the smallest unused entry in the highest row
-    not above the current one.
+    not above the current one.  A component of size 0 gives an empty block.
 
     >>> t = (((3,), (1, 6, 7), (2, 4)), ((5,), (9,)), ((8,),))
     >>> algorithm_tableau(t)
     ((3, 6, 1, 2, 4, 7), (5, 9), (8,))
     """
-    # unused[h]: the entries at height h not yet picked, ascending
-    unused: list[list[int]] = []
+    unused: list[list[int]] = [[]]  # always one empty bucket above the top row
+    sizes = []
     for comp in tup:
+        size = 0
         for h, row in enumerate(comp):
-            if h == len(unused):
+            if h == len(unused) - 1:
                 unused.append([])
-            unused[h].extend(row)
+            unused[h] += row
+            size += len(row)
+        sizes.append(size)
     for cells in unused:
         cells.sort()
-    unused.append([])  # nothing above the top row
-    blocks = []
-    for size in component_sizes(tup):
-        if not unused[0]:
-            raise DoesNotTerminate(tup)
-        current = unused[0].pop(0)
-        level = 0
-        block = [current]
-        for _ in range(size - 1):
-            above = unused[level + 1]
-            k = bisect.bisect_right(above, current)
-            if k < len(above):
-                current = above.pop(k)
-                level += 1
-            else:
-                for h in range(level, -1, -1):
-                    if unused[h]:
-                        current = unused[h].pop(0)
-                        level = h
-                        break
-                else:
-                    raise DoesNotTerminate(tup)
-            block.append(current)
-        blocks.append(tuple(block))
-    return tuple(blocks)
+    blocks = _recover(unused, sizes, DoesNotTerminate(tup))
+    return tuple([tuple(picked) for picked, _ in blocks])
 
 
 def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
     """The unique minimal tuple of shape ``lam`` with height vector ``a``.
 
-    Runs :func:`algorithm_sequence` to split ``1..n`` into component entry
-    sets, puts each entry ``j`` of a set in the row at height ``a_j`` of its
-    component, and checks the result once.  Raises ``ValueError`` if
-    ``lam`` and ``a`` differ in size, and otherwise
+    Puts each index ``j`` in the bucket of height ``a_j`` and runs
+    :func:`_recover` on the buckets with the sizes ``lam``; the entries of
+    a block at height ``h``, sorted, are the row at height ``h`` of its
+    component.  For ``a >= 0`` this recovers the blocks of
+    :func:`algorithm_sequence`, which stays the independent scan that the
+    tests compare against: its position ``(m - a_j)*n + j`` comes after the
+    previous pick's ``(m - 1 - a_prev)*n + j_prev`` exactly when either
+    ``a_j = a_prev + 1`` and ``j > j_prev``, or ``a_j <= a_prev``; so the
+    smallest such position is the tableau rule's choice.
+
+    Raises ``ValueError`` if ``lam`` and ``a`` differ in size, and otherwise
     :class:`ReconstructionError` with the message of the first failed check:
 
-    - ``set recovery failed for a``: :func:`algorithm_sequence` ran out of
-      candidates;
-    - ``invalid ribbon rows ...``: a component fails
-      :func:`is_valid_ribbon` (a row is empty, as no entry of the block has
-      its height; a row fails to top the row below; or the component has no
-      row at all, as with a zero part of ``lam``);
-    - ``invalid tuple for a``: the entries are not exactly ``1..n`` or the
-      sizes are not ``lam``; a negative entry of ``a`` gets no cell, so it
-      ends here if nothing above caught it;
-    - ``tuple for a is not minimal``: :func:`is_minimal` fails.
+    - ``invalid tuple for a``: an entry of ``a`` is negative, so it has no
+      row;
+    - ``set recovery failed for a``: :func:`_recover` ran out of entries,
+      or an entry of ``a`` is ``n`` or more (a block of size ``s`` climbs
+      to height ``s - 1`` at most, so no block could take it);
+    - ``invalid ribbon rows ()``: a block took no entry, as for a zero part
+      of ``lam``;
+    - ``tuple for a is not minimal``: :func:`is_minimal` fails.  It is the
+      certificate that the result is the tuple sought.
 
-    Once the entries are exactly ``1..n``, each ``j`` sits at height
-    ``a_j``, so the height vector of the result is ``a``.
+    The rest holds by construction, so it is not checked again:
+
+    - what :func:`_fills` checks, since each ``j`` in ``1..n`` is picked
+      once and block ``k`` takes ``lam_k`` entries;
+    - the height vector, since each ``j`` sits at height ``a_j``;
+    - what :func:`is_valid_ribbon` checks, for a block that took an entry.
+      A block climbs one row at a time, so each of its rows up to the top
+      is non-empty.  It first reaches height ``h + 1`` by a step up from an
+      entry at height ``h`` to a larger one, so each row tops the row below.
 
     >>> reconstruct((0, 1, 0), (2, 1))
     (((1,), (2,)), ((3,),))
     >>> reconstruct((), ())
     ()
     """
+    n = len(a)
+    if sum(lam) != n:
+        raise ValueError("partition size must match composition length")
+    lowest, top = (min(a), max(a)) if a else (0, -1)
+    if lowest < 0:
+        raise ReconstructionError(f"invalid tuple for {a}")
+    if top >= n:  # no block climbs that high; this also bounds the buckets
+        raise ReconstructionError(f"set recovery failed for {a}")
+    unused: list[list[int]] = [[] for _ in range(top + 2)]  # nothing above the top row
+    for j, h in enumerate(a, 1):
+        unused[h].append(j)
     try:
-        blocks = algorithm_sequence(a, lam)
+        blocks = _recover(unused, lam, DoesNotTerminate((a, lam)))
     except DoesNotTerminate as exc:
         raise ReconstructionError(f"set recovery failed for {a}") from exc
     components = []
-    for block in blocks:
-        top = max([a[j - 1] for j in block], default=-1)
-        rows: list[list[int]] = [[] for _ in range(top + 1)]
-        for j in sorted(block):
-            if a[j - 1] >= 0:  # a negative height gets no cell, which _fills catches
-                rows[a[j - 1]].append(j)
-        ribbon = tuple([tuple(row) for row in rows])
-        if not is_valid_ribbon(ribbon):
-            raise ReconstructionError(f"invalid ribbon rows {ribbon}")
-        components.append(ribbon)
+    for _, rows in blocks:
+        if not rows:
+            raise ReconstructionError("invalid ribbon rows ()")
+        for row in rows:
+            row.sort()
+        components.append(tuple(map(tuple, rows)))
     tup = tuple(components)
-    if not _fills(tup, lam):
-        raise ReconstructionError(f"invalid tuple for {a}")
     if not is_minimal(tup):
         raise ReconstructionError(f"tuple for {a} is not minimal")
     return tup

@@ -222,3 +222,18 @@ def test_reading_word_matches_level_order():
     # highest level first
     levels = [pf.area[pf.labels.index(v)] for v in word]
     assert levels == sorted(levels, reverse=True)
+
+
+def test_searches_leave_no_reference_cycles():
+    # a cycle through a recursive search would keep the family alive after
+    # the caller drops it, until the cyclic collector happens to run
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        minimal_parking_functions((1, 2, 3))
+        minimal_ribbon_tuples((3, 2, 1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -284,6 +284,41 @@ def test_algorithm_blocks_recover_components():
                     assert set(block) == entries
 
 
+def test_recover_matches_algorithm_sequence():
+    # the bucketed recovery that reconstruct and algorithm_tableau share,
+    # against the scan of the periodic sequence, on every a >= 0 up to 5
+    from gpdescent.ribbon import _recover
+
+    for n in range(6):
+        for lam in partitions(n):
+            for a in itertools.product(range(n), repeat=n):
+                unused = [[j for j in range(1, n + 1) if a[j - 1] == h] for h in range(n + 1)]
+                try:
+                    expected = algorithm_sequence(a, lam)
+                except DoesNotTerminate:
+                    with pytest.raises(DoesNotTerminate):
+                        _recover(unused, lam, DoesNotTerminate(a))
+                    continue
+                blocks = _recover(unused, lam, DoesNotTerminate(a))
+                assert tuple(tuple(picked) for picked, _ in blocks) == expected, (a, lam)
+                for picked, rows in blocks:
+                    assert rows == [
+                        [j for j in picked if a[j - 1] == h] for h in range(len(rows))
+                    ]
+
+
+def test_empty_components_take_no_entries():
+    # a part of size 0 gives an empty block in both algorithms, and no
+    # ribbon in reconstruct
+    assert algorithm_sequence((0,), (0, 1)) == ((), (1,))
+    assert algorithm_tableau(((), ((1,),))) == ((), (1,))
+    assert algorithm_tableau((((1,),), ())) == ((1,), ())
+    with pytest.raises(ReconstructionError, match=r"invalid ribbon rows \(\)"):
+        reconstruct((0,), (0, 1))
+    with pytest.raises(ReconstructionError, match=r"invalid ribbon rows \(\)"):
+        reconstruct((0,), (1, 0))
+
+
 def test_algorithm_does_not_terminate():
     # level 1 is never reachable for the second block of (1,1) on (0,1):
     # height 1 belongs to the same index as the only level-0 start
@@ -329,23 +364,49 @@ def test_reconstruct_accepts_exactly_d_lambda():
                 else:
                     with pytest.raises(ReconstructionError):
                         reconstruct(a, lam)
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(ReconstructionError, match="invalid tuple"):
         reconstruct((-1, 0), (2,))  # no cell for the negative entry
-    with pytest.raises(ReconstructionError):
+    with pytest.raises(ReconstructionError, match="invalid tuple"):
         reconstruct((-1, 0), (1, 1))
+    with pytest.raises(ReconstructionError, match="set recovery failed"):
+        reconstruct((0, 2), (2,))  # no block climbs to height n
     with pytest.raises(ValueError):
         reconstruct((0, 0), (1,))  # lengths differ
 
 
 def test_reconstruct_checks_minimality(monkeypatch):
     # no a gets past every other check with a non-minimal tuple, so feed the
-    # check the blocks of one
+    # check the rows of one
     import gpdescent.ribbon as ribbon_module
 
-    blocks = tuple(tuple(e for row in comp for e in row) for comp in DOFF_TUPLE)
-    monkeypatch.setattr(ribbon_module, "algorithm_sequence", lambda a, lam: blocks)
+    def recover(unused, sizes, failure):
+        return [
+            ([e for row in comp for e in row], [list(row) for row in comp])
+            for comp in DOFF_TUPLE
+        ]
+
+    monkeypatch.setattr(ribbon_module, "_recover", recover)
     with pytest.raises(ReconstructionError, match="not minimal"):
         reconstruct(height_vector(DOFF_TUPLE), (6, 2, 1))
+
+
+def test_reconstruct_inverts_height_vector_on_sampled_shapes_of_8():
+    # past the exhaustive ranges above: a few shapes of size 8 and some of
+    # their descent compositions, drawn the same way on every run
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=5)
+    @hypothesis.given(strategies.sampled_from(partitions(8)), strategies.data())
+    def round_trip(lam, data):
+        family = descent_compositions_lambda(lam)
+        draws = strategies.lists(strategies.sampled_from(family), min_size=10, max_size=50)
+        for a in data.draw(draws):
+            tup = reconstruct(a, lam)
+            assert height_vector(tup) == a
+            assert algorithm_tableau(tup) == algorithm_sequence(a, lam)
+
+    round_trip()
 
 
 def coordinate_dinv_pairs(tup, gap):
