@@ -131,6 +131,22 @@ def test_majt_bijection_up_to_8():
         assert len(seen) == len(list(permutations(n)))
 
 
+def test_majt_bijection_on_sampled_permutations_of_8_to_12():
+    # past the exhaustive range above, drawn the same way on every run
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+    @hypothesis.given(
+        strategies.integers(8, 12).flatmap(lambda n: strategies.permutations(range(1, n + 1)))
+    )
+    def round_trip(sigma):
+        sigma = tuple(sigma)
+        assert majt_inverse(majt(sigma)) == sigma
+
+    round_trip()
+
+
 def test_tables_read_maj_and_inverse_descents():
     for n in range(1, 8):
         for sigma in permutations(n):

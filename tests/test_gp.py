@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -21,6 +22,7 @@ from gpdescent.polynomial import (
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
 from gpdescent.tanisaki import (
     ResourceBoundError,
+    _descent_walk,
     _generator_row_needed,
     _koszul_row_needed,
     _quotient_normal_form,
@@ -311,6 +313,29 @@ def test_back_substitute_keeps_the_row_space():
             assert row[lead] > 0
             assert not any(col in pivots for col in row if col != lead)
         assert [e.reduce({col: 1}) for col in range(8)] == before
+
+
+def test_descent_walk_is_the_descent_order():
+    for n in range(7):
+        for degree in range(n * (n - 1) // 2 + 2):
+            expected = sorted(monomials_of_degree(n, degree), key=descent_key)
+            assert list(_descent_walk(n, degree)) == expected, (n, degree)
+
+
+def test_normal_form_lookup_rejects_foreign_exponents():
+    normal_forms = _quotient_slice((2, 1), 3, 2).normal_forms
+    for exp in [(2, 0), (1, 1, 0, 0), (1, 0, 0), (2, 1, 0), (3, -1, 0), (-1, 0, 3)]:
+        with pytest.raises(KeyError):
+            normal_forms[exp]
+    for exp in [(0, 0), (1, -1, 0)]:
+        with pytest.raises(KeyError):
+            _quotient_slice((2, 1), 3, 0).normal_forms[exp]
+    first = normal_forms[(0, 2, 0)]
+    assert type(first) is MappingProxyType
+    assert normal_forms[(0, 2, 0)] is first
+    assert _quotient_slice((), 0, 0).normal_forms[()] == {(): 1}
+    with pytest.raises(KeyError):
+        _quotient_slice((), 0, 1).normal_forms[()]
 
 
 def test_cached_values_are_immutable():

@@ -131,6 +131,25 @@ def test_pf0_roundtrip_s5():
         assert level_composition(pf) == majt(sigma)
 
 
+def test_pf0_roundtrip_on_sampled_permutations_of_6_to_9():
+    # past the exhaustive range above, drawn the same way on every run
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+    @hypothesis.given(
+        strategies.integers(6, 9).flatmap(lambda n: strategies.permutations(range(1, n + 1)))
+    )
+    def round_trip(sigma):
+        sigma = tuple(sigma)
+        pf = perm_to_pf0(sigma)
+        assert dinv(pf) == 0
+        assert area(pf) == maj(sigma)
+        assert pf0_to_perm(pf) == sigma
+
+    round_trip()
+
+
 def test_pf0_to_perm_rejects_positive_dinv():
     with pytest.raises(ValueError):
         pf0_to_perm(ParkingFunction((0, 0), (1, 2)))
