@@ -6,6 +6,12 @@ incoming rows may carry ``Fraction`` entries and are cleared first.  The
 column order is the integer order of the indices, so callers encode their
 monomial order by the index assignment (index 0 = largest monomial, making
 the pivot of a row its leading term).
+
+Elimination works on a working row that belongs to :meth:`Echelon.add_row`
+or :meth:`Echelon.back_substitute`, never to the caller, and is updated in
+place.  A step scales it only when the pivot's leading entry does not
+divide the row's; it is normalized (content 1, positive lead) once, when it
+is stored.
 """
 
 from __future__ import annotations
@@ -15,49 +21,63 @@ from math import gcd, lcm
 
 
 def clear_denominators(row: dict[int, Fraction]) -> dict[int, int]:
-    """Scale a rational row to a primitive integer row (empty stays empty)."""
+    """Scale a rational row to a primitive integer row, dropping zero
+    entries (empty stays empty)."""
     if not row:
         return {}
     denominator = lcm(*(coeff.denominator for coeff in row.values()))
-    scaled = {col: int(coeff * denominator) for col, coeff in row.items()}
-    content = 0
-    for value in scaled.values():
-        content = gcd(content, value)
+    scaled = {col: int(coeff * denominator) for col, coeff in row.items() if coeff}
+    content = gcd(*scaled.values())
     if content > 1:
         scaled = {col: value // content for col, value in scaled.items()}
     return scaled
 
 
-def _normalize(row: dict[int, int]) -> dict[int, int]:
-    """Strip content and make the leading (minimum-column) entry positive."""
-    content = 0
-    for value in row.values():
-        content = gcd(content, value)
-    if content > 1:
-        row = {col: value // content for col, value in row.items()}
-    if row[min(row)] < 0:
-        row = {col: -value for col, value in row.items()}
-    return row
+def _normalize(row: dict[int, int], lead: int) -> dict[int, int]:
+    """A new dict: ``row`` with its content stripped and a positive entry at
+    ``lead``, its leading (minimum) column."""
+    content = gcd(*row.values())
+    if row[lead] < 0:
+        content = -content
+    if content == 1:
+        return dict(row)
+    return {col: value // content for col, value in row.items()}
 
 
 def _eliminate(row: dict[int, int], pivot: dict[int, int], col: int) -> dict[int, int]:
-    """The smallest integer combination of ``row`` and ``pivot`` (whose
-    entry at ``col`` is positive) that clears ``col``, normalized; the
-    multiple of ``row`` is positive."""
+    """Clear ``col`` from the working row ``row`` with the smallest integer
+    combination ``ca * row - cb * pivot`` (``pivot[col] > 0``, so ``ca > 0``).
+
+    When ``pivot[col]`` divides ``row[col]`` (``ca == 1``, the usual case)
+    ``row`` is updated in place and returned; otherwise a scaled copy is
+    built and its content stripped, so the result is the combination up to
+    a positive factor.  The caller owns ``row`` and normalizes it once, when
+    it is stored.
+    """
     g = gcd(pivot[col], row[col])
     ca, cb = pivot[col] // g, row[col] // g
-    merged = {c: value * ca for c, value in row.items()}
+    if ca != 1:
+        row = {c: value * ca for c, value in row.items()}
     for c, value in pivot.items():
-        new = merged.get(c, 0) - value * cb
+        new = row.get(c, 0) - value * cb
         if new:
-            merged[c] = new
+            row[c] = new
         else:
-            merged.pop(c, None)
-    return _normalize(merged) if merged else merged
+            del row[c]
+    if ca != 1:
+        content = gcd(*row.values())
+        if content > 1:
+            row = {c: value // content for c, value in row.items()}
+    return row
 
 
 class Echelon:
-    """Incremental row-echelon form with exact integer arithmetic."""
+    """Incremental row-echelon form with exact integer arithmetic.
+
+    ``pivot_rows`` maps each pivot column to its row, in insertion order;
+    every stored row is primitive (content 1) with a positive entry at its
+    pivot, the row's minimum column.
+    """
 
     def __init__(self):
         self.pivot_rows: dict[int, dict[int, int]] = {}
@@ -70,42 +90,49 @@ class Echelon:
         """Reduce ``row`` against the current pivots and insert the result.
 
         Returns ``True`` when the rank grew.  Accepts integer or rational
-        coefficients.
+        coefficients; ``row`` itself is never changed, as the elimination
+        works on a copy.
         """
-        if any(isinstance(c, Fraction) for c in row.values()):
+        if any(type(c) is not int for c in row.values()):
             work = clear_denominators(row)
         else:
-            work = {col: int(c) for col, c in row.items() if c}
+            work = {col: c for col, c in row.items() if c}
         while work:
             lead = min(work)
             pivot = self.pivot_rows.get(lead)
             if pivot is None:
-                self.pivot_rows[lead] = _normalize(work)
+                self.pivot_rows[lead] = _normalize(work, lead)
                 return True
             work = _eliminate(work, pivot, lead)
         return False
 
     def add_rows(self, rows) -> int:
-        """Insert rows in turn (sorted by leading column first, which keeps
-        elimination chains short) and return the rank."""
+        """Insert rows in turn, largest leading column first (on the
+        parabolic slices of size 7 about twice as fast as smallest first),
+        and return the rank."""
         pending = [
             {col: c for col, c in row.items() if c} for row in rows
         ]
         pending = [row for row in pending if row]
-        pending.sort(key=min)
+        pending.sort(key=min, reverse=True)
         for row in pending:
             self.add_row(row)
         return self.rank
 
     def back_substitute(self) -> None:
         """Clear every pivot column from the other pivot rows (reduced
-        row-echelon form), in integers with the content stripped after each
-        step, which keeps the coefficients small."""
+        row-echelon form), in integers.  Each stored row is the working row
+        of its own reduction, updated in place and replaced by its
+        normalized copy at the end.  Rows go largest pivot first, so every
+        pivot row used is already reduced and adds no pivot column."""
         for lead in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[lead]
-            for col in [col for col in row if col != lead and col in self.pivot_rows]:
+            hit = [col for col in row if col != lead and col in self.pivot_rows]
+            if not hit:
+                continue
+            for col in hit:
                 row = _eliminate(row, self.pivot_rows[col], col)
-            self.pivot_rows[lead] = row
+            self.pivot_rows[lead] = _normalize(row, lead)
 
     def reduce(self, row: dict[int, Fraction]) -> dict[int, Fraction]:
         """Normal form of a rational row modulo the row space: eliminate

@@ -236,6 +236,15 @@ def _exact(value: Rational) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
+def _divide(v: int, d: int) -> Rational:
+    """``v / d`` as an ``int`` when ``d`` divides ``v``, else a ``Fraction``.
+
+    >>> _divide(-6, 3), _divide(3, 6)
+    (-2, Fraction(1, 2))
+    """
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
 def _koszul_row_needed(c: Exponent, j: int) -> bool:
     """Whether the Koszul rows ``K_ij(c)``, ``i < j``, are kept: ``c`` uses
     no variable after ``x_j`` (indices from 0).  The others lie in the span
@@ -321,7 +330,7 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     modulo: dict[int, dict[int, Rational]] = {col: {col: 1} for col in free}
     for lead, row in echelon.pivot_rows.items():
         modulo[lead] = {
-            col: _exact(Fraction(-v, row[lead])) for col, v in row.items() if col != lead
+            col: _divide(-v, row[lead]) for col, v in row.items() if col != lead
         }
 
     # The standard monomials: each image goes in with a tag column for its
@@ -347,7 +356,7 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     class_of: dict[int, dict[Exponent, Rational]] = {}
     for f, row in tagged.pivot_rows.items():
         class_of[f] = {
-            standard[col - offset]: _exact(Fraction(v, row[f]))
+            standard[col - offset]: _divide(v, row[f])
             for col, v in row.items()
             if col >= offset
         }

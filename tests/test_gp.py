@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 
 import pytest
@@ -102,6 +103,114 @@ def test_echelon_rank_and_reduce():
     assert set(reduced) == {2}
     assert e.contains({0: Fraction(1), 1: Fraction(1)})
     assert not e.contains({0: Fraction(1)})
+
+
+def _random_rows(rng, kind, count, width=8):
+    """Sparse rows over ``range(width)``: ``int``, ``Fraction`` or mixed
+    entries, explicit zeros included, and every third row a combination of
+    two earlier ones, so that some rows reduce to nothing."""
+
+    def entry():
+        value = rng.randint(-6, 6)
+        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
+            return Fraction(value, rng.randint(1, 4))
+        return value
+
+    rows = []
+    for k in range(count):
+        if k % 3 == 2:
+            a, b = rng.sample(rows, 2)
+            x, y = rng.choice([1, 2, -3]), rng.choice([1, -1, 4])
+            row = {c: x * a.get(c, 0) + y * b.get(c, 0) for c in a.keys() | b.keys()}
+        else:
+            row = {c: entry() for c in rng.sample(range(width), rng.randint(1, min(width, 5)))}
+        rows.append(row)
+    return rows
+
+
+def _primitive(row):
+    """A nonzero rational row scaled to integers with content 1 and a
+    positive leading entry."""
+    scale = lcm(*(Fraction(v).denominator for v in row.values()))
+    ints = {c: int(v * scale) for c, v in row.items()}
+    content = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        content = -content
+    return {c: v // content for c, v in ints.items()}
+
+
+def _minus(row, factor, pivot):
+    """``row - factor * pivot``, without zero entries."""
+    merged = {c: row.get(c, 0) - factor * pivot.get(c, 0) for c in row.keys() | pivot.keys()}
+    return {c: v for c, v in merged.items() if v}
+
+
+def _gauss_jordan(rows):
+    """Plain ``Fraction`` Gauss–Jordan: each row in turn reduced at its
+    leading column by the pivot rows so far, scaled to lead 1 when it
+    becomes a pivot; then every pivot column cleared from the other pivot
+    rows.  Returns the forward and the reduced pivot rows, made primitive."""
+    pivots = {}
+    for row in rows:
+        work = {c: Fraction(v) for c, v in row.items() if v}
+        while work and min(work) in pivots:
+            work = _minus(work, work[min(work)], pivots[min(work)])
+        if work:
+            lead = min(work)
+            pivots[lead] = {c: v / work[lead] for c, v in work.items()}
+    forward = {lead: _primitive(row) for lead, row in pivots.items()}
+    for lead, pivot in pivots.items():
+        for other, row in pivots.items():
+            if other != lead and lead in row:
+                pivots[other] = _minus(row, row[lead], pivot)
+    return forward, {lead: _primitive(row) for lead, row in pivots.items()}
+
+
+def _assert_primitive_pivots(echelon):
+    for lead, row in echelon.pivot_rows.items():
+        assert min(row) == lead and row[lead] > 0, (lead, row)
+        assert all(type(v) is int and v for v in row.values()), row
+        assert gcd(*row.values()) == 1, row
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_add_row_leaves_the_callers_row_alone(kind):
+    rng = random.Random(11)
+    for _ in range(30):
+        rows = _random_rows(rng, kind, rng.randint(2, 9))
+        before = [[(c, type(v), v) for c, v in row.items()] for row in rows]
+        e = Echelon()
+        for row in rows:
+            e.add_row(row)
+        e.back_substitute()
+        assert [[(c, type(v), v) for c, v in row.items()] for row in rows] == before
+        assert not any(stored is row for stored in e.pivot_rows.values() for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_stored_pivot_rows_are_primitive_with_positive_lead(kind):
+    rng = random.Random(13)
+    for _ in range(30):
+        e = Echelon()
+        for row in _random_rows(rng, kind, rng.randint(1, 9)):
+            e.add_row(row)
+            _assert_primitive_pivots(e)
+        e.back_substitute()
+        _assert_primitive_pivots(e)
+
+
+def test_elimination_matches_a_fraction_gauss_jordan():
+    rng = random.Random(17)
+    for trial in range(200):
+        kind = ("int", "fraction", "mixed")[trial % 3]
+        rows = _random_rows(rng, kind, rng.randint(1, 12), width=rng.randint(2, 10))
+        forward, reduced = _gauss_jordan(rows)
+        e = Echelon()
+        for row in rows:
+            e.add_row(row)
+        assert list(e.pivot_rows) == list(forward) and e.pivot_rows == forward, rows
+        e.back_substitute()
+        assert e.pivot_rows == reduced, rows
 
 
 # ------------------------------------------------------------------ tanisaki
