@@ -21,7 +21,6 @@ from . import descent, parking, ribbon, symfunc, tanisaki
 from .core import check_partition, check_permutation, conjugate, multinomial, partitions
 
 ENV_BOUND = "GPDESCENT_N_BOUND"
-ENUM_BOUND = 7
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,7 +54,7 @@ def _parse_checked(text: str, check):
         raise UsageError(str(exc)) from exc
 
 
-def resolve_bound(args, default: int) -> int:
+def resolve_bound(args, default: int = tanisaki.DEFAULT_BOUND) -> int:
     """The size bound: ``--n-bound``, then ``GPDESCENT_N_BOUND``, then ``default``."""
     if args.n_bound is not None:
         return args.n_bound
@@ -66,6 +65,22 @@ def resolve_bound(args, default: int) -> int:
         return int(value)
     except ValueError as exc:
         raise UsageError(f"{ENV_BOUND}: expected an integer, got {value!r}") from exc
+
+
+def _read_shape(args, checks=()) -> tuple[int, ...]:
+    """The partition argument, parsed and checked against the size bound.
+
+    Every usage error comes before the bound: the partition text first,
+    then a name in ``checks`` that is not in ``CHECKS``.
+    """
+    lam = _parse_checked(args.partition, check_partition)
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise UsageError(
+            f"unknown checks {','.join(unknown)!r}; valid checks: {','.join(CHECKS)}"
+        )
+    tanisaki.check_bound(sum(lam), resolve_bound(args))
+    return lam
 
 
 def _print_document(document: dict, fmt: str) -> None:
@@ -93,41 +108,23 @@ def cmd_stats(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    lam = _parse_checked(args.partition, check_partition)
-    tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
-    emit = (lambda obj: print(json.dumps(obj))) if args.format == "json" else (
-        lambda obj: print(obj)
-    )
-    count = 0
+    lam = _read_shape(args)
     if args.kind == "D":
-        for a in descent.descent_compositions_lambda(lam):
-            emit({"composition": list(a)} if args.format == "json" else list(a))
-            count += 1
+        family = descent.descent_compositions_lambda(lam)
+        to_json, to_text = (lambda a: {"composition": list(a)}), list
     elif args.kind == "Jmaj":
-        for sigma in sorted(descent.j_maj(lam)):
-            emit(
-                {"word": list(sigma), "maj": descent.maj(sigma)}
-                if args.format == "json"
-                else list(sigma)
-            )
-            count += 1
+        family = sorted(descent.j_maj(lam))
+        to_json, to_text = (lambda sigma: {"word": list(sigma), "maj": descent.maj(sigma)}), list
     elif args.kind == "R0":
-        for tup in ribbon.minimal_ribbon_tuples(lam):
-            emit(
-                ribbon.to_json_dict(tup)
-                if args.format == "json"
-                else ribbon.render(tup) + "\n"
-            )
-            count += 1
-    elif args.kind == "PF0":
-        alpha = tuple(reversed(lam))
-        for pf in parking.minimal_parking_functions(alpha):
-            emit(
-                parking.to_json_dict(pf)
-                if args.format == "json"
-                else parking.render(pf) + "\n"
-            )
-            count += 1
+        family = ribbon.minimal_ribbon_tuples(lam)
+        to_json, to_text = ribbon.to_json_dict, (lambda tup: ribbon.render(tup) + "\n")
+    else:
+        family = parking.minimal_parking_functions(tuple(reversed(lam)))
+        to_json, to_text = parking.to_json_dict, (lambda pf: parking.render(pf) + "\n")
+    count = 0
+    for item in family:
+        print(json.dumps(to_json(item)) if args.format == "json" else to_text(item))
+        count += 1
     summary = {"count": count, "multinomial": multinomial(lam)}
     print(json.dumps(summary) if args.format == "json" else f"count: {count} (multinomial {summary['multinomial']})")
     return EXIT_OK
@@ -143,8 +140,7 @@ def _print_expansion(expansion, fmt: str) -> None:
 
 
 def cmd_hall_littlewood(args) -> int:
-    lam = _parse_checked(args.partition, check_partition)
-    tanisaki.check_bound(sum(lam), resolve_bound(args, ENUM_BOUND))
+    lam = _read_shape(args)
     routes = {}
     if args.route in ("descents", "both"):
         routes["descents"] = (
@@ -172,14 +168,9 @@ def cmd_hall_littlewood(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lam = _parse_checked(args.partition, check_partition)
-    bound = resolve_bound(args, tanisaki.DEFAULT_BOUND)
-    checks = CHECKS if args.checks is None else args.checks.split(",")
-    unknown = [name for name in checks if name not in CHECKS]
-    if unknown:
-        raise UsageError(
-            f"unknown checks {','.join(unknown)!r}; valid checks: {','.join(CHECKS)}"
-        )
+    checks = args.checks or CHECKS
+    lam = _read_shape(args, checks)
+    bound = resolve_bound(args)
     results = {}
     document = {"lambda": list(lam)}
     if "basis" in checks or "leading" in checks:
@@ -236,8 +227,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--n-bound",
         type=int,
         default=default(None),
-        help=f"size guard (default {tanisaki.DEFAULT_BOUND} for linear algebra, "
-        f"{ENUM_BOUND} for enumeration; env {ENV_BOUND} overrides)",
+        help=f"size guard (default {tanisaki.DEFAULT_BOUND} for every command, "
+        f"{tanisaki.PHI_BOUND} for the phi check; env {ENV_BOUND} overrides)",
     )
 
 
@@ -273,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("partition")
     p_verify.add_argument(
         "--checks",
+        type=lambda text: text.split(","),
         default=None,
         help=f"comma-separated subset of {','.join(CHECKS)}",
     )

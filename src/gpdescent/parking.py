@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .core import Composition, Permutation, is_permutation, n_stat
+from .core import Composition, Permutation, is_permutation, n_stat, value_blocks
 
 
 class ParkingFunction(NamedTuple):
@@ -101,21 +101,12 @@ def dinv(pf: ParkingFunction) -> int:
     return len(dinv_pairs(pf))
 
 
-def block_ranges(alpha: Composition) -> list[range]:
-    """0-based row ranges of the touch blocks of ``alpha``."""
-    ranges = []
-    start = 0
-    for part in alpha:
-        ranges.append(range(start, start + part))
-        start += part
-    return ranges
-
-
 def touches(pf: ParkingFunction, alpha: Composition) -> bool:
     """Whether the path touches the diagonal at the start of every block."""
     if sum(alpha) != len(pf.area) or any(part < 1 for part in alpha):
         return False
-    return all(pf.area[block[0]] == 0 for block in block_ranges(alpha))
+    # value_blocks numbers rows from 1; the area sequence is 0-based
+    return all(pf.area[block.start - 1] == 0 for block in value_blocks(alpha))
 
 
 def _doff_weights(alpha: Composition) -> list[int]:
@@ -306,7 +297,7 @@ def minimal_parking_functions(alpha: Composition) -> list[ParkingFunction]:
     target = n_stat(tuple(reversed(alpha)))
     n = sum(alpha)
     weights = _doff_weights(alpha)
-    starts = {block.start for block in block_ranges(alpha)}
+    starts = {block.start - 1 for block in value_blocks(alpha)}
     levels = [0] * n
     labels = [0] * n
     found: list[ParkingFunction] = []

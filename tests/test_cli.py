@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import gpdescent
-from gpdescent.cli import EXIT_PIPE, main
+from gpdescent.cli import CHECKS, EXIT_PIPE, main
 
 
 def run(capsys, *argv):
@@ -216,10 +216,35 @@ def test_bound_error_reads_the_same_in_every_command(capsys):
     for argv in (
         ["enumerate", "D", "2,2"],
         ["hall-littlewood", "2,2"],
-        ["verify", "2,2", "--checks", "basis"],
+        *(["verify", "2,2", "--checks", name] for name in CHECKS),
     ):
         code, out, err = run(capsys, "--n-bound", "3", *argv)
         assert (code, out, err) == (3, "", "error: n = 4 exceeds configured bound 3\n"), argv
+
+
+def test_one_default_bound_of_7(capsys, monkeypatch):
+    # every command accepts size 7 and refuses size 8 without flags; only
+    # cheap shapes are run (verify 7 takes minutes)
+    monkeypatch.delenv("GPDESCENT_N_BOUND", raising=False)
+    for argv in (
+        ["verify", "1,1,1,1,1,1,1"],
+        ["hall-littlewood", "1,1,1,1,1,1,1"],
+        ["enumerate", "D", "7"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    for argv in (["verify", "8"], ["hall-littlewood", "8"], ["enumerate", "D", "8"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "error: n = 8 exceeds configured bound 7\n"), argv
+
+
+def test_usage_errors_come_before_the_bound(capsys):
+    code, out, err = run(capsys, "verify", "9", "--checks", "foo")
+    assert (code, out) == (2, "")
+    assert "unknown checks" in err
+    code, out, err = run(capsys, "verify", "9,a", "--checks", "foo")
+    assert (code, out) == (2, "")
+    assert "comma-separated integers" in err
 
 
 def test_deterministic_output(capsys):

@@ -632,6 +632,33 @@ def test_parabolic_check_needs_every_degree(monkeypatch):
     assert not report.ok
 
 
+def test_basis_check_fails_on_a_family_member_above_the_top_degree(monkeypatch):
+    # the quotient of (2,1) is zero above degree n((2,1)) = 1, so a degree-3
+    # member of the family fails both checks; no slice above the top is built
+    import gpdescent.tanisaki as tanisaki_module
+
+    family = tanisaki_module.descent_compositions_lambda((2, 1))
+    built = []
+
+    def recording_slice(lam, n, degree):
+        built.append(degree)
+        return _quotient_slice(lam, n, degree)
+
+    monkeypatch.setattr(tanisaki_module, "_quotient_slice", recording_slice)
+    report = verify_descent_basis((2, 1))
+    assert report.basis_ok and report.leading_terms_ok
+    assert sorted(built) == [0, 1]
+    monkeypatch.setattr(
+        tanisaki_module,
+        "descent_compositions_lambda",
+        lambda lam: (*family, (3, 0, 0)) if lam == (2, 1) else family,
+    )
+    report = verify_descent_basis((2, 1))
+    assert not report.basis_ok
+    assert not report.leading_terms_ok
+    assert report.hilbert == TPoly({0: 1, 1: 2})
+
+
 def test_parabolic_unsorted_mu():
     # Young subgroups of arbitrary compositions also work; the expansion
     # comparison only applies to partitions
