@@ -195,27 +195,18 @@ def is_reverse_shuffle(sigma: Permutation, mu: Composition) -> bool:
 
 
 def _arrangements(mu: Composition, reverse: bool) -> list[Permutation]:
+    """Place each block of :func:`value_blocks` increasingly (decreasingly
+    when ``reverse``) on the positions of the same block of every ordered
+    set partition of type ``mu``."""
     n = sum(mu)
-    blocks = [list(b) for b in value_blocks(mu)]
-    if reverse:
-        blocks = [list(reversed(b)) for b in blocks]
+    blocks = [b[::-1] if reverse else b for b in value_blocks(mu)]
     result = []
-
-    def place(block_index: int, free: tuple[int, ...], word: dict[int, int]):
-        if block_index == len(blocks):
-            result.append(tuple(word[i] for i in range(n)))
-            return
-        block = blocks[block_index]
-        if not block:
-            place(block_index + 1, free, word)
-            return
-        for positions in itertools.combinations(free, len(block)):
+    for osp in ordered_set_partitions(mu):
+        word = [0] * n
+        for positions, block in zip(osp, blocks):
             for p, v in zip(positions, block):
-                word[p] = v
-            remaining = tuple(p for p in free if p not in positions)
-            place(block_index + 1, remaining, word)
-
-    place(0, tuple(range(n)), {})
+                word[p - 1] = v
+        result.append(tuple(word))
     return sorted(result)
 
 

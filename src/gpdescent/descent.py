@@ -27,6 +27,7 @@ from .core import (
     Partition,
     Permutation,
     multinomial,
+    ordered_set_partitions,
     permutations,
 )
 
@@ -278,19 +279,10 @@ def descent_composition_witness(a: Composition, lam: Partition) -> OrderedSetPar
     parts = tuple(p for p in lam if p > 0)
     if len(a) != sum(parts):
         raise ValueError("composition length must match the partition size")
-
-    def search(block_index: int, free: tuple[int, ...], blocks: list):
-        if block_index == len(parts):
-            return tuple(blocks)
-        for subset in itertools.combinations(free, parts[block_index]):
-            if is_descent_composition(restrict(a, subset)):
-                remaining = tuple(p for p in free if p not in subset)
-                result = search(block_index + 1, remaining, blocks + [subset])
-                if result is not None:
-                    return result
-        return None
-
-    return search(0, tuple(range(1, len(a) + 1)), [])
+    for osp in ordered_set_partitions(parts):
+        if all(is_descent_composition(restrict(a, block)) for block in osp):
+            return osp
+    return None
 
 
 def in_descent_compositions_lambda(a: Composition, lam: Partition) -> bool:

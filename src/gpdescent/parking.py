@@ -130,7 +130,7 @@ def doff(pf: ParkingFunction, alpha: Composition) -> int:
 
 
 def _area_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All Dyck area sequences of length ``n``."""
+    """All Dyck area sequences of length ``n >= 1``."""
 
     def extend(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if len(prefix) == n:
@@ -139,10 +139,7 @@ def _area_sequences(n: int) -> Iterator[tuple[int, ...]]:
         for nxt in range(prefix[-1] + 2):
             yield from extend(prefix + (nxt,))
 
-    if n == 0:
-        yield ()  # the empty path
-    else:
-        yield from extend((0,))
+    yield from extend((0,))
 
 
 def _labelings(area_seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -179,9 +176,7 @@ def parking_functions(n: int) -> Iterator[ParkingFunction]:
     >>> sum(1 for _ in parking_functions(3))
     16
     """
-    for seq in _area_sequences(n):
-        for labels in _labelings(seq):
-            yield ParkingFunction(seq, labels)
+    yield from parking_functions_alpha((n,) if n else ())
 
 
 def parking_functions_alpha(alpha: Composition) -> Iterator[ParkingFunction]:

@@ -140,9 +140,8 @@ def split_exponent(exp: Exponent, positions: tuple[int, ...]) -> tuple[Exponent,
     ``positions`` (relabelled to ``x_1..x_k`` in increasing position order)
     and the complementary part (same relabelling)."""
     inside = tuple(exp[i - 1] for i in positions)
-    complement = tuple(
-        exp[i] for i in range(len(exp)) if (i + 1) not in set(positions)
-    )
+    chosen = set(positions)
+    complement = tuple(exp[i] for i in range(len(exp)) if i + 1 not in chosen)
     return inside, complement
 
 

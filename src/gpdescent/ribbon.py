@@ -38,8 +38,9 @@ from .core import (
     Permutation,
     multinomial,
     n_stat,
-    ordered_set_partitions,
+    permutations,
 )
+from .descent import runs
 from .parking import ParkingFunction
 
 Ribbon = tuple[tuple[int, ...], ...]
@@ -261,50 +262,41 @@ def is_minimal(tup: RibbonTuple) -> bool:
     return True
 
 
-def _compositions(total: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into positive parts."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            yield (first,) + rest
+def _ribbon(word: Permutation) -> Ribbon:
+    """The ribbon whose rows, read from the top row down, are the runs of
+    ``word``: a descent between two runs is the row above topping the row
+    below.
+
+    >>> _ribbon((6, 3, 8, 5, 1, 9))
+    ((1, 9), (5,), (3, 8), (6,))
+    """
+    return tuple(reversed(runs(word)))
 
 
 def ribbon_fillings(entries: tuple[int, ...]) -> Iterator[Ribbon]:
-    """All ribbons on a fixed entry set: choose the row sizes from the
-    bottom up, distribute the entries, and keep the fillings where every
-    row tops its predecessor (``max(row above) > min(row below)``).
+    """All ribbons on a fixed entry set, one per ordering of the entries:
+    the rows of a ribbon read from the top down form a word whose runs are
+    the rows.
 
     >>> sorted(ribbon_fillings((1, 2)))
     [((1,), (2,)), ((1, 2),)]
     """
-    entries = tuple(sorted(entries))
-    for shape in _compositions(len(entries)):
-
-        def distribute(row_index: int, free: tuple[int, ...], rows: tuple):
-            if row_index == len(shape):
-                yield rows
-                return
-            for chosen in itertools.combinations(free, shape[row_index]):
-                if row_index > 0 and chosen[-1] <= rows[-1][0]:
-                    continue
-                remaining = tuple(v for v in free if v not in chosen)
-                yield from distribute(row_index + 1, remaining, rows + (chosen,))
-
-        yield from distribute(0, entries, ())
+    for word in itertools.permutations(sorted(entries)):
+        yield _ribbon(word)
 
 
 def ribbon_tuples(lam: Partition) -> Iterator[RibbonTuple]:
     """All ribbon tuples with component sizes ``lam`` on entries ``1..n``.
 
-    There are ``n!`` of them: the entry sets form an ordered set partition
-    and each component admits ``size!`` fillings.
+    There are ``n!`` of them: every permutation of ``1..n`` cut into
+    consecutive pieces of sizes ``lam``, each piece's runs the rows of one
+    component (:func:`ribbon_fillings`).
     """
     parts = tuple(p for p in lam if p > 0)
-    for osp in ordered_set_partitions(parts):
-        for combo in itertools.product(*(tuple(ribbon_fillings(block)) for block in osp)):
-            yield combo
+    cuts = list(itertools.accumulate(parts, initial=0))
+    pieces = list(zip(cuts, cuts[1:]))
+    for word in permutations(sum(parts)):
+        yield tuple([_ribbon(word[start:end]) for start, end in pieces])
 
 
 Leaf = Callable[[list[int], list[int], list[Ribbon]], None]

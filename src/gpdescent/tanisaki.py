@@ -525,7 +525,7 @@ def descent_normal_form(p: MPoly, k: int) -> MPoly:
     return _quotient_normal_form(ones, k, p)
 
 
-def phi_map(subset, p: MPoly, n: int) -> list[tuple[MPoly, MPoly]]:
+def phi_map(subset, p: MPoly) -> list[tuple[MPoly, MPoly]]:
     """Split the variables along ``subset``: each monomial factors as a
     monomial in the relabelled ``subset`` variables times a monomial in the
     relabelled complement.  The first factor is reduced to the descent
@@ -535,7 +535,7 @@ def phi_map(subset, p: MPoly, n: int) -> list[tuple[MPoly, MPoly]]:
 
     >>> from .polynomial import poly_str
     >>> x = {(2, 1, 0, 3, 0, 1, 0): 1}
-    >>> [(poly_str(f), poly_str(s)) for f, s in phi_map({2, 3, 7}, x, 7)]
+    >>> [(poly_str(f), poly_str(s)) for f, s in phi_map({2, 3, 7}, x)]
     [('-x2 - x3', 'x1^2*x2^3*x4')]
     """
     positions = tuple(sorted(subset))
@@ -553,11 +553,11 @@ def phi_map(subset, p: MPoly, n: int) -> list[tuple[MPoly, MPoly]]:
     return tensors
 
 
-def phi_by_descent_coordinates(subset, p: MPoly, n: int) -> dict[Exponent, MPoly]:
+def phi_by_descent_coordinates(subset, p: MPoly) -> dict[Exponent, MPoly]:
     """Regroup :func:`phi_map` by the descent-basis exponent of the first
     factor: the value at ``a`` is the full second-factor polynomial."""
     grouped: dict[Exponent, MPoly] = {}
-    for first, second in phi_map(subset, p, n):
+    for first, second in phi_map(subset, p):
         ((second_exp, second_coeff),) = second.items()
         for a, coeff in first.items():
             block = grouped.setdefault(a, {})
@@ -775,7 +775,7 @@ def tanimap_spot_check(
                     exp[rng.randrange(n)] += 1
                 product = mul_monomial(generator, tuple(exp))
                 positions = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                grouped = phi_by_descent_coordinates(positions, product, n)
+                grouped = phi_by_descent_coordinates(positions, product)
                 for second in grouped.values():
                     if n - k == 0:
                         if second:

@@ -59,7 +59,7 @@ def test_acceptance_1_worked_examples():
     assert pk.doff(P, (1, 2, 6)) == 3
     from gpdescent.tanisaki import phi_map
 
-    tensors = phi_map({2, 3, 7}, monomial((2, 1, 0, 3, 0, 1, 0)), 7)
+    tensors = phi_map({2, 3, 7}, monomial((2, 1, 0, 3, 0, 1, 0)))
     assert tensors == [
         (
             {(0, 1, 0): Fraction(-1), (0, 0, 1): Fraction(-1)},

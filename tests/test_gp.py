@@ -530,7 +530,7 @@ def test_descent_normal_form():
 
 def test_phi_worked_example():
     p = monomial((2, 1, 0, 3, 0, 1, 0))
-    tensors = phi_map({2, 3, 7}, p, 7)
+    tensors = phi_map({2, 3, 7}, p)
     assert len(tensors) == 1
     first, second = tensors[0]
     assert first == frac_poly({(0, 1, 0): -1, (0, 0, 1): -1})
@@ -539,7 +539,7 @@ def test_phi_worked_example():
 
 def test_phi_empty_subset():
     p = monomial((1, 2))
-    tensors = phi_map(set(), p, 2)
+    tensors = phi_map(set(), p)
     assert tensors == [(frac_poly({(): 1}), frac_poly({(1, 2): 1}))]
 
 
@@ -556,7 +556,7 @@ def test_tensor_reduction_triangular_example():
     assert len(candidates) == 45
     contrib: dict[tuple, dict[tuple, Fraction]] = {}
     for b in candidates:
-        grouped = phi_by_descent_coordinates(S, monomial(b), 6)
+        grouped = phi_by_descent_coordinates(S, monomial(b))
         block = grouped.get((0, 1, 1), {})
         for second_exp, coeff in block.items():
             contrib.setdefault(second_exp, {})[b] = coeff

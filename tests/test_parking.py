@@ -72,9 +72,12 @@ def test_touches():
 
 
 def test_parking_function_counts():
-    # (n+1)^(n-1) parking functions on n rows
+    # (n+1)^(n-1) parking functions on n rows; one, the empty one, on none
     for n in range(1, 7):
         assert sum(1 for _ in parking_functions(n)) == (n + 1) ** (n - 1)
+    assert list(parking_functions(0)) == [ParkingFunction((), ())]
+    with pytest.raises(ValueError):
+        list(parking_functions(-1))
 
 
 def test_parking_functions_2_explicit():

@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import pytest
 
-from gpdescent.core import multinomial, n_stat, partitions
+from gpdescent.core import multinomial, n_stat, ordered_set_partitions, partitions
 from gpdescent.descent import descent_compositions_lambda, majt, majt_inverse
 from gpdescent import parking as pk
 from gpdescent.ribbon import (
     DoesNotTerminate,
     ReconstructionError,
+    _ribbon,
     algorithm_sequence,
     algorithm_tableau,
     area,
@@ -73,21 +75,44 @@ def test_dinv_pair_orientation():
     assert dinv_pairs(DOFF_TUPLE) == {(9, 4), (9, 2), (4, 2), (1, 7)}
 
 
+def assert_shear_intertwines(tup, lam):
+    pf = ribbon_to_parking(tup)
+    alpha = tuple(reversed(lam))
+    assert pk.is_valid(pf)
+    assert pk.touches(pf, alpha)
+    assert pk.area(pf) == area(tup)
+    assert pk.dinv(pf) == dinv(tup)
+    assert pk.doff(pf, alpha) == doff(tup)
+    assert pk.reading_word(pf) == reading_word(tup)
+    assert {frozenset(p) for p in pk.dinv_pairs(pf)} == {
+        frozenset(p) for p in dinv_pairs(tup)
+    }
+
+
 def test_statistics_intertwine_up_to_6():
     for n in range(1, 7):
         for lam in partitions(n):
             for tup in ribbon_tuples(lam):
-                pf = ribbon_to_parking(tup)
-                alpha = tuple(reversed(lam))
-                assert pk.is_valid(pf)
-                assert pk.touches(pf, alpha)
-                assert pk.area(pf) == area(tup)
-                assert pk.dinv(pf) == dinv(tup)
-                assert pk.doff(pf, alpha) == doff(tup)
-                assert pk.reading_word(pf) == reading_word(tup)
-                assert {frozenset(p) for p in pk.dinv_pairs(pf)} == {
-                    frozenset(p) for p in dinv_pairs(tup)
-                }
+                assert_shear_intertwines(tup, lam)
+
+
+def test_statistics_intertwine_on_sampled_tuples_of_8_and_9():
+    # past the exhaustive range above: a tuple of shape lam is a permutation
+    # cut into pieces of sizes lam, each piece's runs the rows of one
+    # component; shapes and permutations are drawn the same way on every run
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+    @hypothesis.given(strategies.sampled_from(partitions(8) + partitions(9)), strategies.data())
+    def shear(lam, data):
+        word = data.draw(strategies.permutations(range(1, sum(lam) + 1)))
+        cuts = list(itertools.accumulate(lam, initial=0))
+        tup = tuple(_ribbon(word[start:end]) for start, end in zip(cuts, cuts[1:]))
+        assert is_valid(tup, lam)
+        assert_shear_intertwines(tup, lam)
+
+    shear()
 
 
 def test_parking_roundtrip_up_to_5():
@@ -103,17 +128,35 @@ def test_fillings_count_is_factorial():
         entries = tuple(range(1, k + 1))
         fillings = list(ribbon_fillings(entries))
         assert len(fillings) == len(set(fillings))
-        import math
-
+        assert all(is_valid_ribbon(f) for f in fillings)
         assert len(fillings) == math.factorial(k)
 
 
-def test_tuple_count_is_factorial():
-    import math
+def test_fillings_are_every_valid_split_into_sorted_rows():
+    # oracle without runs: every composition of k as row sizes (bottom row
+    # first), every ordered set partition of the entries into those rows,
+    # kept when it is a ribbon
+    for k in range(1, 6):
+        compositions = [
+            tuple(b - a for a, b in zip((0,) + cut, cut + (k,)))
+            for size in range(k)
+            for cut in itertools.combinations(range(1, k), size)
+        ]
+        expected = {
+            rows
+            for shape in compositions
+            for rows in ordered_set_partitions(shape)
+            if is_valid_ribbon(rows)
+        }
+        assert set(ribbon_fillings(range(1, k + 1))) == expected, k
 
+
+def test_tuple_count_is_factorial():
     for n in range(1, 7):
         for lam in partitions(n):
-            assert sum(1 for _ in ribbon_tuples(lam)) == math.factorial(n)
+            tuples = list(ribbon_tuples(lam))
+            assert all(is_valid(t, lam) for t in tuples)
+            assert len(set(tuples)) == len(tuples) == math.factorial(n)
 
 
 def test_minimal_counts():
