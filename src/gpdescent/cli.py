@@ -171,6 +171,12 @@ def cmd_verify(args) -> int:
     checks = args.checks or CHECKS
     lam = _read_shape(args, checks)
     bound = resolve_bound(args)
+    # The splitting-map check has its own smaller default bound.  Asked for
+    # by name, it is held to that bound before any check runs; only implied
+    # by the default set, it is skipped quietly.
+    phi_bound = resolve_bound(args, tanisaki.PHI_BOUND)
+    if "phi" in checks and args.checks is not None:
+        tanisaki.check_bound(sum(lam), phi_bound)
     results = {}
     document = {"lambda": list(lam)}
     if "basis" in checks or "leading" in checks:
@@ -191,10 +197,7 @@ def cmd_verify(args) -> int:
         results["parabolic"] = ok
         document["parabolic"] = cases
     if "phi" in checks:
-        # the splitting-map check has its own smaller default bound;
-        # skip it quietly when it was only implied by the default set
-        phi_bound = resolve_bound(args, tanisaki.PHI_BOUND)
-        if sum(lam) > phi_bound and args.checks is None:
+        if sum(lam) > phi_bound:
             document["phi_injective_ok"] = "skipped"
         else:
             results["phi"] = tanisaki.verify_phi_injective(lam, bound=phi_bound)
@@ -227,8 +230,9 @@ def _add_shared_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
         "--n-bound",
         type=int,
         default=default(None),
-        help=f"size guard (default {tanisaki.DEFAULT_BOUND} for every command, "
-        f"{tanisaki.PHI_BOUND} for the phi check; env {ENV_BOUND} overrides)",
+        help=f"size guard for enumerate, hall-littlewood and verify (default "
+        f"{tanisaki.DEFAULT_BOUND}, {tanisaki.PHI_BOUND} for the phi check; "
+        f"env {ENV_BOUND} overrides)",
     )
 
 

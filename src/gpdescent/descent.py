@@ -285,11 +285,6 @@ def descent_composition_witness(a: Composition, lam: Partition) -> OrderedSetPar
     return None
 
 
-def in_descent_compositions_lambda(a: Composition, lam: Partition) -> bool:
-    """Membership test for ``D_lam`` (witness search)."""
-    return descent_composition_witness(a, lam) is not None
-
-
 def j_maj(lam: Partition) -> tuple[Permutation, ...]:
     """The permutations whose major index tables lie in ``D_lam``, listed in
     the order of their tables in :func:`descent_compositions_lambda`.

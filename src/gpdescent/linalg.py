@@ -22,7 +22,11 @@ from math import gcd, lcm
 
 def clear_denominators(row: dict[int, Fraction]) -> dict[int, int]:
     """Scale a rational row to a primitive integer row, dropping zero
-    entries (empty stays empty)."""
+    entries (empty stays empty).
+
+    >>> clear_denominators({0: Fraction(1, 2), 3: Fraction(-1, 3)})
+    {0: 3, 3: -2}
+    """
     if not row:
         return {}
     denominator = lcm(*(coeff.denominator for coeff in row.values()))
@@ -159,6 +163,10 @@ class Echelon:
 
 
 def matrix_rank(rows) -> int:
-    """Rank of a list of sparse rows (any exact coefficients)."""
+    """Rank of a list of sparse rows (any exact coefficients).
+
+    >>> matrix_rank([{0: 1, 1: 2}, {0: Fraction(1, 2), 1: 1}, {1: 3}])
+    2
+    """
     echelon = Echelon()
     return echelon.add_rows(rows)

@@ -190,26 +190,6 @@ def parking_functions_alpha(alpha: Composition) -> Iterator[ParkingFunction]:
             yield ParkingFunction(seq, labels)
 
 
-def is_dinv_zero(pf: ParkingFunction) -> bool:
-    return dinv(pf) == 0
-
-
-def is_dinv_zero_structural(pf: ParkingFunction) -> bool:
-    """Structural characterization of dinv-zero parking functions: the area
-    sequence is weakly increasing and equal levels carry decreasing labels.
-    """
-    a, labels = pf
-    n = len(a)
-    if any(a[i + 1] < a[i] for i in range(n - 1)):
-        return False
-    return all(
-        labels[i] > labels[j]
-        for i in range(n)
-        for j in range(i + 1, n)
-        if a[i] == a[j]
-    )
-
-
 def reading_word(pf: ParkingFunction) -> Permutation:
     """Labels read along diagonals, highest level first, top row first
     within a level.

@@ -700,66 +700,6 @@ def cell_coordinates(tup: RibbonTuple, gap: int = 1) -> dict[int, tuple[int, int
     return coords
 
 
-def check_patterns(tup: RibbonTuple) -> list[str]:
-    """Local rules satisfied by every minimal tuple; returns violations.
-
-    With the earlier component on the west side of each picture:
-
-    1. the bottom row increases west to east across components;
-    2. a stacked pair (``a`` on top of ``c``) level with a later-component
-       entry ``b`` in ``a``'s row never has ``c < b < a``;
-    3. an entry with an east neighbour in its own row is smaller than every
-       later-component entry at its height;
-    4. no row with three or more cells is level with a later-component cell
-       carrying a cell directly above it;
-    5. if a cell ``a`` tops the west end ``b`` of a row with east neighbour
-       ``c``, and a later component also rises through those two rows, then
-       ``a < c``.
-
-    Vertical adjacency in this encoding: the cell above the west end of a
-    row is the east end of the row above, whenever that row exists.
-    """
-    violations = []
-
-    bottom = [e for comp in tup for e in comp[0]]
-    if any(bottom[k] > bottom[k + 1] for k in range(len(bottom) - 1)):
-        violations.append(f"pattern 1: bottom row {bottom} not increasing")
-
-    for i, comp in enumerate(tup):
-        for j in range(i + 1, len(tup)):
-            other = tup[j]
-            for h, row in enumerate(comp):
-                if h >= 1 and h < len(other):
-                    a_val, c_val = row[-1], comp[h - 1][0]
-                    for b_val in other[h]:
-                        if c_val < b_val < a_val:
-                            violations.append(
-                                f"pattern 2: {c_val}<{b_val}<{a_val} at height {h}"
-                                f" (components {i + 1},{j + 1})"
-                            )
-                if len(row) >= 2 and h < len(other):
-                    for a_val in row[:-1]:
-                        for c_val in other[h]:
-                            if a_val > c_val:
-                                violations.append(
-                                    f"pattern 3: {a_val}>{c_val} at height {h}"
-                                    f" (components {i + 1},{j + 1})"
-                                )
-                if len(row) >= 3 and h + 1 < len(other):
-                    violations.append(
-                        f"pattern 4: 3-cell row at height {h} of component"
-                        f" {i + 1} with component {j + 1} rising past it"
-                    )
-                if h + 1 < len(comp) and len(row) >= 2 and h + 1 < len(other):
-                    a_val, c_val = comp[h + 1][-1], row[1]
-                    if a_val > c_val:
-                        violations.append(
-                            f"pattern 5: {a_val}>{c_val} at height {h}"
-                            f" (components {i + 1},{j + 1})"
-                        )
-    return violations
-
-
 def render(tup: RibbonTuple, gap: int = 1) -> str:
     """ASCII layout mirroring the stored geometry, components left to right;
     the empty tuple renders as the empty string."""

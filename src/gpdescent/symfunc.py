@@ -291,14 +291,6 @@ def dominance_support_check(lam: Partition) -> bool:
     )
 
 
-def expansion_at_one(expansion: SymExpansion) -> dict[Partition, int]:
-    return {mu: coeff.at_one() for mu, coeff in expansion.items()}
-
-
-def expansions_equal(a: SymExpansion, b: SymExpansion) -> bool:
-    return {mu: c for mu, c in a.items() if c} == {mu: c for mu, c in b.items() if c}
-
-
 def expansion_diff(a: SymExpansion, b: SymExpansion) -> dict[Partition, tuple[TPoly, TPoly]]:
     """Coefficient-wise differences, keyed by partition; empty when equal."""
     diffs = {}

@@ -64,7 +64,6 @@ computes 175 083 normal forms.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,7 +97,6 @@ from .polynomial import (
     elementary_symmetric,
     monomial,
     monomials_of_degree,
-    mul_monomial,
     split_exponent,
 )
 from .symfunc import TPoly, hall_littlewood_by_ribbons
@@ -117,45 +115,41 @@ def check_bound(n: int, bound: int) -> None:
         raise ResourceBoundError(f"n = {n} exceeds configured bound {bound}")
 
 
-def p_stat(lam: Partition, n: int, m: int) -> int:
+def p_stat(lam: Partition, m: int) -> int:
     """Sum of the last ``m`` entries of the conjugate of ``lam`` padded to
-    length ``n``.
+    length ``|lam|``.
 
-    >>> p_stat((2, 1), 3, 2)
+    >>> p_stat((2, 1), 2)
     1
     """
-    padded = pad(conjugate(lam), n)
-    return sum(padded[n - m :])
+    n = sum(lam)
+    return sum(pad(conjugate(lam), n)[n - m :])
 
 
 @dataclass(frozen=True)
 class TanisakiIdeal:
-    n: int
     lam: Partition
     generators: tuple[tuple[tuple[int, ...], int], ...]  # (variable subset, degree)
 
 
 @lru_cache(maxsize=None)
-def tanisaki_ideal(lam: Partition, n: int | None = None) -> TanisakiIdeal:
-    """All qualifying generators ``e_d(S)``, pruned of the identically zero
-    ones (``d > |S|``) and deduplicated.
+def tanisaki_ideal(lam: Partition) -> TanisakiIdeal:
+    """All qualifying generators ``e_d(S)`` in ``|lam|`` variables, pruned
+    of the identically zero ones (``d > |S|``) and deduplicated.
 
     >>> [d for s, d in tanisaki_ideal((1, 1, 1)).generators if len(s) == 3]
     [1, 2, 3]
     """
     lam = check_partition(lam)
-    if n is None:
-        n = sum(lam)
-    if sum(lam) != n:
-        raise ValueError(f"partition {lam} does not have size {n}")
+    n = sum(lam)
     generators = []
     variables = range(1, n + 1)
     for size in range(1, n + 1):
-        threshold = size - p_stat(lam, n, size)
+        threshold = size - p_stat(lam, size)
         for subset in itertools.combinations(variables, size):
             for d in range(max(threshold + 1, 1), size + 1):
                 generators.append((subset, d))
-    return TanisakiIdeal(n, lam, tuple(generators))
+    return TanisakiIdeal(lam, tuple(generators))
 
 
 def _rearrangements(shape: Exponent) -> Iterator[Exponent]:
@@ -256,22 +250,22 @@ def _koszul_row_needed(c: Exponent, j: int) -> bool:
     return not any(c[j + 1 :])
 
 
-def _generator_row_needed(lam: Partition, n: int, size: int, d: int) -> bool:
+def _generator_row_needed(lam: Partition, size: int, d: int) -> bool:
     """Whether the row of a generator ``e_d(S)`` with ``|S| = size`` is
     kept: ``d <= size - p(size - 1)``.  For larger ``d`` the row lies in
     the span of the Koszul rows and the other generator rows (module
     docstring).  Every ``d = 1`` row is kept, as ``p(m) <= m``: the padded
     conjugate decreases and averages 1.
 
-    >>> _generator_row_needed((3,), 3, 2, 1), _generator_row_needed((3,), 3, 2, 2)
+    >>> _generator_row_needed((3,), 2, 1), _generator_row_needed((3,), 2, 2)
     (True, False)
     """
-    return d <= size - p_stat(lam, n, size - 1)
+    return d <= size - p_stat(lam, size - 1)
 
 
 @lru_cache(maxsize=None)
-def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
-    """Degree ``degree`` of the quotient by the ideal of ``lam`` in ``n``
+def _quotient_slice(lam: Partition, degree: int) -> QuotientSlice:
+    """Degree ``degree`` of the quotient by the ideal of ``lam`` in ``|lam|``
     variables, built from the two degrees below it (see the module
     docstring for why the presentation is exact).
 
@@ -295,12 +289,13 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
     computed on its first lookup (:class:`NormalForms`).  A negative
     degree gives the empty slice, where every lookup raises ``KeyError``.
     """
+    n = sum(lam)
     if degree < 0:  # no exponent has a negative degree: every lookup raises
         return QuotientSlice((), NormalForms(n, degree, lambda exp: {}))
     if degree == 0:  # no generator is a constant
         one = (0,) * n
         return QuotientSlice((one,), NormalForms(n, 0, lambda exp: {exp: 1}))
-    below = _quotient_slice(lam, n, degree - 1)
+    below = _quotient_slice(lam, degree - 1)
     column = {
         (i, b): len(below.standard) * i + k for i in range(n) for k, b in enumerate(below.standard)
     }
@@ -311,7 +306,7 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
 
     relations = []
     if degree >= 2:
-        for c in _quotient_slice(lam, n, degree - 2).standard:
+        for c in _quotient_slice(lam, degree - 2).standard:
             for i, j in itertools.combinations(range(n), 2):
                 if not _koszul_row_needed(c, j):
                     continue
@@ -319,8 +314,8 @@ def _quotient_slice(lam: Partition, n: int, degree: int) -> QuotientSlice:
                 for b, v in below.normal_forms[_shift(c, i, 1)].items():
                     row[column[j, b]] = -v
                 relations.append(row)
-    for subset, d in tanisaki_ideal(lam, n).generators:
-        if d == degree and _generator_row_needed(lam, n, len(subset), d):
+    for subset, d in tanisaki_ideal(lam).generators:
+        if d == degree and _generator_row_needed(lam, len(subset), d):
             generator = elementary_symmetric(d, subset, n)
             relations.append(_combine(generator, {exp: lift(exp) for exp in generator}))
     echelon = Echelon()
@@ -384,23 +379,19 @@ def _combine(coefficients: Mapping, vectors: Mapping) -> dict:
     return out
 
 
-def quotient_dimension(lam: Partition, n: int, degree: int) -> int:
-    return len(_quotient_slice(lam, n, degree).standard)
-
-
-def ideal_slice_basis(lam: Partition, n: int, degree: int) -> list[MPoly]:
+def ideal_slice_basis(lam: Partition, degree: int) -> list[MPoly]:
     """Fully reduced basis of the degree slice of the ideal: one polynomial
     ``m - NF(m)`` per non-standard monomial ``m``, whose leading monomial
     in the descent order is ``m``, listed largest ``m`` first.
 
     >>> from .polynomial import poly_str
-    >>> [poly_str(p) for p in ideal_slice_basis((1, 1), 2, 1)]
+    >>> [poly_str(p) for p in ideal_slice_basis((1, 1), 1)]
     ['x1 + x2']
-    >>> len(ideal_slice_basis((1, 1), 2, 2))
+    >>> len(ideal_slice_basis((1, 1), 2))
     3
     """
-    monos = sorted(monomials_of_degree(n, degree), key=descent_key, reverse=True)
-    quotient = _quotient_slice(lam, n, degree)
+    monos = sorted(monomials_of_degree(sum(lam), degree), key=descent_key, reverse=True)
+    quotient = _quotient_slice(lam, degree)
     standard = set(quotient.standard)
     rows = []
     for exp in monos:
@@ -412,9 +403,9 @@ def ideal_slice_basis(lam: Partition, n: int, degree: int) -> list[MPoly]:
     return rows
 
 
-def ideal_member(lam: Partition, n: int, p: MPoly) -> bool:
+def ideal_member(lam: Partition, p: MPoly) -> bool:
     """Exact membership test: the normal form modulo the ideal is zero."""
-    return not _quotient_normal_form(lam, n, p)
+    return not _quotient_normal_form(lam, p)
 
 
 def hilbert_series(lam: Partition, bound: int = DEFAULT_BOUND) -> TPoly:
@@ -431,12 +422,11 @@ def hilbert_series(lam: Partition, bound: int = DEFAULT_BOUND) -> TPoly:
     TPoly({0: 1})
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    check_bound(n, bound)
+    check_bound(sum(lam), bound)
     dims = {}
     total = 0
     for degree in range(n_stat(lam) + 1):
-        dim = quotient_dimension(lam, n, degree)
+        dim = len(_quotient_slice(lam, degree).standard)
         if dim:
             dims[degree] = dim
         total += dim
@@ -477,8 +467,7 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
     True
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    check_bound(n, bound)
+    check_bound(sum(lam), bound)
     target_ideal = conjugate(lam)
     by_degree = _by_degree(descent_compositions_lambda(lam))
     top = n_stat(target_ideal)
@@ -486,7 +475,7 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
     # the quotient is zero above degree ``top``, so a family member there fails
     leading_ok = max(by_degree, default=0) <= top
     for degree in range(top + 1):
-        standard = set(_quotient_slice(target_ideal, n, degree).standard)
+        standard = set(_quotient_slice(target_ideal, degree).standard)
         dims[degree] = len(standard)
         leading_ok = leading_ok and standard == set(by_degree.get(degree, ()))
     basis_ok = leading_ok and sum(dims.values()) == multinomial(lam)
@@ -499,11 +488,11 @@ def verify_leading_terms(lam: Partition, bound: int = DEFAULT_BOUND) -> bool:
     return verify_descent_basis(lam, bound).leading_terms_ok
 
 
-def _quotient_normal_form(lam_ideal: Partition, n: int, p: MPoly) -> MPoly:
+def _quotient_normal_form(lam_ideal: Partition, p: MPoly) -> MPoly:
     """Reduce ``p`` modulo the ideal: the sum of the tabulated normal forms
     of its monomials, supported on the standard (descent basis) monomials."""
     return _combine(
-        p, {exp: _quotient_slice(lam_ideal, n, sum(exp)).normal_forms[exp] for exp in p}
+        p, {exp: _quotient_slice(lam_ideal, sum(exp)).normal_forms[exp] for exp in p}
     )
 
 
@@ -515,8 +504,7 @@ def descent_normal_form(p: MPoly, k: int) -> MPoly:
     >>> poly_str(descent_normal_form(variable(3, 1), 3))
     '-x2 - x3'
     """
-    ones = (1,) * k
-    return _quotient_normal_form(ones, k, p)
+    return _quotient_normal_form((1,) * k, p)
 
 
 def phi_map(subset, p: MPoly) -> list[tuple[MPoly, MPoly]]:
@@ -644,8 +632,7 @@ def verify_parabolic_basis(
     shape ``lam``), which shares no step with the count.
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    check_bound(n, bound)
+    check_bound(sum(lam), bound)
     mu = tuple(mu)
     ideal_shape = conjugate(lam)
     kept = _by_degree(_reverse_shuffle_part(lam, mu))
@@ -665,14 +652,14 @@ def verify_parabolic_basis(
     independent = spans = True
     for degree in family | kept:
         position = {
-            b: k for k, b in enumerate(_quotient_slice(ideal_shape, n, degree).standard)
+            b: k for k, b in enumerate(_quotient_slice(ideal_shape, degree).standard)
         }
         in_family, in_kept = family.get(degree, []), kept.get(degree, [])
         sorted_of = {a: _block_sorted(mu, a)[1] for a in dict.fromkeys(in_family + in_kept)}
         rows: dict[Exponent | None, dict[int, Rational]] = {None: {}}
         for c in dict.fromkeys(sorted_of.values()):
             if c is not None:
-                nf = _quotient_normal_form(ideal_shape, n, antisymmetrize(mu, monomial(c)))
+                nf = _quotient_normal_form(ideal_shape, antisymmetrize(mu, monomial(c)))
                 rows[c] = {position[b]: v for b, v in nf.items()}
         if matrix_rank([rows[sorted_of[a]] for a in in_kept]) != len(in_kept):
             independent = False
@@ -686,21 +673,6 @@ def verify_parabolic_basis(
         matches = coeff == count_poly
 
     return ParabolicReport(lam, mu, count_poly, independent, spans, matches)
-
-
-def antisymmetrized_extreme_exponents(lam: Partition, mu: Composition) -> bool:
-    """For every reverse-shuffle element of the shape-``lam`` family, the
-    descent-order minimum of the antisymmetrized monomial is the original
-    exponent (with coefficient of absolute value 1), and every other term
-    sits strictly higher in the descent order."""
-    for exponent, p in parabolic_basis_elements(lam, mu):
-        key = descent_key(exponent)
-        others = [exp for exp in p if exp != exponent]
-        if exponent not in p or abs(p[exponent]) != 1:
-            return False
-        if any(descent_key(exp) <= key for exp in others):
-            return False
-    return True
 
 
 def verify_phi_injective(lam: Partition, bound: int = PHI_BOUND) -> bool:
@@ -737,43 +709,4 @@ def verify_phi_injective(lam: Partition, bound: int = PHI_BOUND) -> bool:
             rows.append({col: c for col, c in row.items() if c})
         if matrix_rank(rows) != len(basis):
             return False
-    return True
-
-
-def tanimap_spot_check(
-    n: int, trials_per_generator: int = 20, seed: int = 2024, max_extra_degree: int = 2
-) -> bool:
-    """Randomized check that splitting along a size ``lam_1`` subset sends
-    the conjugate ideal into (coinvariants) tensor (ideal of the conjugate
-    of the shape with its first part removed).
-
-    For each partition of ``n`` with at least two parts, each generator is
-    multiplied by random monomials and pushed through the split; every
-    second factor attached to a descent-basis coordinate of the first
-    factor must lie in the smaller ideal.
-    """
-    rng = random.Random(seed)
-    for lam in partitions(n):
-        if len(lam) < 2:
-            continue
-        k = lam[0]
-        tail = lam[1:]
-        ideal = tanisaki_ideal(conjugate(lam), n)
-        tail_ideal_shape = conjugate(tail) if tail else ()
-        for subset_vars, d in ideal.generators:
-            generator = elementary_symmetric(d, subset_vars, n)
-            for _ in range(trials_per_generator):
-                extra = rng.randrange(max_extra_degree + 1)
-                exp = [0] * n
-                for _ in range(extra):
-                    exp[rng.randrange(n)] += 1
-                product = mul_monomial(generator, tuple(exp))
-                positions = tuple(sorted(rng.sample(range(1, n + 1), k)))
-                grouped = phi_by_descent_coordinates(positions, product)
-                for second in grouped.values():
-                    if n - k == 0:
-                        if second:
-                            return False
-                    elif not ideal_member(tail_ideal_shape, n - k, second):
-                        return False
     return True

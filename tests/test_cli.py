@@ -270,13 +270,35 @@ def test_shared_flags_accepted_after_subcommand(capsys):
     assert "count: 3" in after[1]
 
 
-def test_default_verify_skips_phi_above_its_bound(capsys):
+def test_default_verify_skips_phi_above_its_bound(capsys, monkeypatch):
     # n = 5 exceeds the splitting-map default bound; the implied check is
     # skipped rather than failing the whole run
-    code, out, _ = run(capsys, "verify", "3,2", "--checks", "basis")
+    import gpdescent.cli as cli_module
+
+    def not_reached(lam, bound):
+        raise AssertionError("the implied phi check ran above its bound")
+
+    monkeypatch.delenv("GPDESCENT_N_BOUND", raising=False)
+    monkeypatch.setattr(cli_module.tanisaki, "verify_phi_injective", not_reached)
+    code, out, _ = run(capsys, "verify", "3,2")
     assert code == 0
+    payload = json.loads(out)
+    assert payload["phi_injective_ok"] == "skipped"
+    assert "phi" not in payload["checks"]
     code, out, _ = run(capsys, "verify", "2,2,1", "--checks", "basis,phi")
     assert code == 3  # explicit request above the bound is an error
+
+
+def test_explicit_phi_above_its_bound_fails_before_any_check(capsys, monkeypatch):
+    import gpdescent.cli as cli_module
+
+    def not_reached(lam, bound):
+        raise AssertionError("basis ran before the phi bound was checked")
+
+    monkeypatch.delenv("GPDESCENT_N_BOUND", raising=False)
+    monkeypatch.setattr(cli_module.tanisaki, "verify_descent_basis", not_reached)
+    code, out, err = run(capsys, "verify", "2,2,1", "--checks", "basis,phi")
+    assert (code, out, err) == (3, "", "error: n = 5 exceeds configured bound 4\n")
 
 
 def test_phi_reads_the_environment_bound(capsys, monkeypatch):

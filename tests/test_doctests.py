@@ -25,5 +25,6 @@ MODULES = [
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_doctests(module):
-    failures, _ = doctest.testmod(module, verbose=False)
+    failures, attempted = doctest.testmod(module, verbose=False)
+    assert attempted > 0
     assert failures == 0

@@ -28,7 +28,6 @@ from gpdescent.tanisaki import (
     _koszul_row_needed,
     _quotient_normal_form,
     _quotient_slice,
-    antisymmetrized_extreme_exponents,
     descent_normal_form,
     hilbert_series,
     ideal_member,
@@ -37,14 +36,13 @@ from gpdescent.tanisaki import (
     parabolic_basis_elements,
     phi_by_descent_coordinates,
     phi_map,
-    quotient_dimension,
-    tanimap_spot_check,
     tanisaki_ideal,
     verify_descent_basis,
     verify_leading_terms,
     verify_parabolic_basis,
     verify_phi_injective,
 )
+from lemmas import antisymmetrized_extreme_exponents, tanimap_spot_check
 
 
 def frac_poly(terms):
@@ -219,12 +217,12 @@ def test_elimination_matches_a_fraction_gauss_jordan():
 
 def test_p_stat():
     # conjugate of (2,1) padded to length 3 is (2,1,0)
-    assert p_stat((2, 1), 3, 1) == 0
-    assert p_stat((2, 1), 3, 2) == 1
-    assert p_stat((2, 1), 3, 3) == 3
+    assert p_stat((2, 1), 1) == 0
+    assert p_stat((2, 1), 2) == 1
+    assert p_stat((2, 1), 3) == 3
     # single column: conjugate (n) padded leaves zeros except the first slot
-    assert p_stat((1, 1, 1), 3, 2) == 0
-    assert p_stat((1, 1, 1), 3, 3) == 3
+    assert p_stat((1, 1, 1), 2) == 0
+    assert p_stat((1, 1, 1), 3) == 3
 
 
 def test_column_ideal_is_the_symmetric_ideal():
@@ -275,12 +273,12 @@ def test_hilbert_matches_full_size_coefficient_at_6():
 
 def test_ideal_slice_basis_examples():
     # degree-1 slice of the two-variable symmetric ideal is spanned by e_1
-    assert ideal_slice_basis((1, 1), 2, 1) == [frac_poly({(1, 0): 1, (0, 1): 1})]
+    assert ideal_slice_basis((1, 1), 1) == [frac_poly({(1, 0): 1, (0, 1): 1})]
     # degree-2 slice is full: the series 1 + t has nothing in degree 2
-    assert len(ideal_slice_basis((1, 1), 2, 2)) == 3
+    assert len(ideal_slice_basis((1, 1), 2)) == 3
     # ranks for the hook of size 3 are consistent with its series 1 + 2t
-    assert len(ideal_slice_basis((2, 1), 3, 1)) == 3 - 2
-    assert len(ideal_slice_basis((2, 1), 3, 2)) == 6 - 0
+    assert len(ideal_slice_basis((2, 1), 1)) == 3 - 2
+    assert len(ideal_slice_basis((2, 1), 2)) == 6 - 0
 
 
 def test_quotient_dimension_matches_lex_order_rank():
@@ -303,7 +301,7 @@ def test_quotient_dimension_matches_lex_order_rank():
                     if d <= degree
                     for padding in monomials_of_degree(n, degree - d)
                 ]
-                assert len(monos) - matrix_rank(rows) == quotient_dimension(lam, n, degree)
+                assert len(monos) - matrix_rank(rows) == len(_quotient_slice(lam, degree).standard)
 
 
 def _full_slice_echelon(lam, n, degree):
@@ -315,7 +313,7 @@ def _full_slice_echelon(lam, n, degree):
     col = {exp: i for i, exp in enumerate(monos)}
     rows = [
         {col[exp]: c for exp, c in mul_monomial(elementary_symmetric(d, subset, n), padding).items()}
-        for subset, d in tanisaki_ideal(lam, n).generators
+        for subset, d in tanisaki_ideal(lam).generators
         if d <= degree
         for padding in monomials_of_degree(n, degree - d)
     ]
@@ -342,10 +340,10 @@ def test_quotient_slice_matches_full_slice_oracle():
             for degree in range(n_stat(lam) + 2):
                 monos, col, echelon = _full_slice_echelon(lam, n, degree)
                 free = [exp for exp in reversed(monos) if col[exp] not in echelon.pivot_rows]
-                assert _quotient_slice(lam, n, degree).standard == tuple(free), (lam, degree)
+                assert _quotient_slice(lam, degree).standard == tuple(free), (lam, degree)
                 for exp in monos:
                     reduced = echelon.reduce({col[exp]: 1})
-                    nf = _quotient_normal_form(lam, n, {exp: 1})
+                    nf = _quotient_normal_form(lam, {exp: 1})
                     assert {monos[c]: v for c, v in reduced.items()} == nf, (lam, degree, exp)
                     # every normal form here is integral, with int coefficients
                     assert all(type(c) is int for c in nf.values())
@@ -355,7 +353,7 @@ def _relation_rows(lam, n, degree):
     """Every Koszul row and every degree-``degree`` generator row of the
     slice presentation, in the columns ``(i, b)`` = ``x_i * b``, each with
     whether the row predicates of ``_quotient_slice`` keep it."""
-    below = _quotient_slice(lam, n, degree - 1)
+    below = _quotient_slice(lam, degree - 1)
     column = {key: k for k, key in enumerate(itertools.product(range(n), below.standard))}
 
     def shift(exp, i, delta):
@@ -368,19 +366,19 @@ def _relation_rows(lam, n, degree):
 
     rows = []
     if degree >= 2:
-        for c in _quotient_slice(lam, n, degree - 2).standard:
+        for c in _quotient_slice(lam, degree - 2).standard:
             for i, j in itertools.combinations(range(n), 2):
                 row = {}
                 add(row, i, shift(c, j, 1), 1)
                 add(row, j, shift(c, i, 1), -1)
                 rows.append((_koszul_row_needed(c, j), row))
-    for subset, d in tanisaki_ideal(lam, n).generators:
+    for subset, d in tanisaki_ideal(lam).generators:
         if d == degree:
             row = {}
             for exp, coeff in elementary_symmetric(d, subset, n).items():
                 i = next(k for k, e in enumerate(exp) if e)
                 add(row, i, shift(exp, i, -1), coeff)
-            rows.append((_generator_row_needed(lam, n, len(subset), d), row))
+            rows.append((_generator_row_needed(lam, len(subset), d), row))
     return rows
 
 
@@ -437,33 +435,32 @@ def test_descent_walk_is_the_descent_order():
 
 
 def test_normal_form_lookup_rejects_foreign_exponents():
-    normal_forms = _quotient_slice((2, 1), 3, 2).normal_forms
+    normal_forms = _quotient_slice((2, 1), 2).normal_forms
     for exp in [(2, 0), (1, 1, 0, 0), (1, 0, 0), (2, 1, 0), (3, -1, 0), (-1, 0, 3)]:
         with pytest.raises(KeyError):
             normal_forms[exp]
     for exp in [(0, 0), (1, -1, 0)]:
         with pytest.raises(KeyError):
-            _quotient_slice((2, 1), 3, 0).normal_forms[exp]
+            _quotient_slice((2, 1), 0).normal_forms[exp]
     # a negative degree is the empty slice: nothing is standard, and every
     # lookup is foreign
-    assert _quotient_slice((2, 1), 3, -1).standard == ()
-    assert quotient_dimension((2, 1), 3, -1) == 0
-    assert ideal_slice_basis((2, 1), 3, -1) == []
+    assert _quotient_slice((2, 1), -1).standard == ()
+    assert ideal_slice_basis((2, 1), -1) == []
     for exp in [(-1, 0, 0), (0, 0, 0), (2, -3, 0)]:
         with pytest.raises(KeyError):
-            _quotient_slice((2, 1), 3, -1).normal_forms[exp]
+            _quotient_slice((2, 1), -1).normal_forms[exp]
     with pytest.raises(KeyError):
-        ideal_member((2, 1), 3, {(-1, 0, 0): 1})
+        ideal_member((2, 1), {(-1, 0, 0): 1})
     first = normal_forms[(0, 2, 0)]
     assert type(first) is MappingProxyType
     assert normal_forms[(0, 2, 0)] is first
-    assert _quotient_slice((), 0, 0).normal_forms[()] == {(): 1}
+    assert _quotient_slice((), 0).normal_forms[()] == {(): 1}
     with pytest.raises(KeyError):
-        _quotient_slice((), 0, 1).normal_forms[()]
+        _quotient_slice((), 1).normal_forms[()]
 
 
 def test_cached_values_are_immutable():
-    quotient = _quotient_slice((1, 1, 1), 3, 2)
+    quotient = _quotient_slice((1, 1, 1), 2)
     assert type(quotient.standard) is tuple
     with pytest.raises(dataclasses.FrozenInstanceError):
         quotient.standard = ()
@@ -501,10 +498,10 @@ def test_polynomial_coefficients_are_int():
 
 def test_ideal_membership():
     e1 = elementary_symmetric(1, [1, 2, 3], 3)
-    assert ideal_member((1, 1, 1), 3, e1)
-    assert ideal_member((1, 1, 1), 3, mul(e1, e1))
-    assert not ideal_member((1, 1, 1), 3, variable(3, 1))
-    assert ideal_member((3,), 3, variable(3, 1))
+    assert ideal_member((1, 1, 1), e1)
+    assert ideal_member((1, 1, 1), mul(e1, e1))
+    assert not ideal_member((1, 1, 1), variable(3, 1))
+    assert ideal_member((3,), variable(3, 1))
 
 
 def test_verify_descent_basis_small():
@@ -655,9 +652,9 @@ def test_basis_check_fails_on_a_family_member_above_the_top_degree(monkeypatch):
     family = tanisaki_module.descent_compositions_lambda((2, 1))
     built = []
 
-    def recording_slice(lam, n, degree):
+    def recording_slice(lam, degree):
         built.append(degree)
-        return _quotient_slice(lam, n, degree)
+        return _quotient_slice(lam, degree)
 
     monkeypatch.setattr(tanisaki_module, "_quotient_slice", recording_slice)
     report = verify_descent_basis((2, 1))

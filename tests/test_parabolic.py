@@ -28,16 +28,15 @@ UNSORTED_MU = [(1, 3), (1, 2, 1), (2, 1, 1), (2, 0, 2), (0, 4), (1, 0, 2, 1)]
 def ranks_by_exponent(lam, mu, family, kept) -> tuple[bool, bool]:
     """``(independent, spans)`` with every exponent of ``family`` and
     ``kept`` antisymmetrized and reduced on its own, degree by degree."""
-    n = sum(lam)
     ideal_shape = conjugate(lam)
     family, kept = _by_degree(family), _by_degree(kept)
     independent = spans = True
     for degree in family | kept:
-        standard = _quotient_slice(ideal_shape, n, degree).standard
+        standard = _quotient_slice(ideal_shape, degree).standard
         position = {b: k for k, b in enumerate(standard)}
 
         def row(a):
-            nf = _quotient_normal_form(ideal_shape, n, antisymmetrize(mu, monomial(a)))
+            nf = _quotient_normal_form(ideal_shape, antisymmetrize(mu, monomial(a)))
             return {position[b]: c for b, c in nf.items()}
 
         in_kept = kept.get(degree, [])

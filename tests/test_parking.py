@@ -14,8 +14,6 @@ from gpdescent.parking import (
     dinv,
     dinv_pairs,
     doff,
-    is_dinv_zero,
-    is_dinv_zero_structural,
     is_valid,
     level_composition,
     minimal_parking_functions,
@@ -29,6 +27,7 @@ from gpdescent.parking import (
     touches,
 )
 from gpdescent.ribbon import minimal_ribbon_tuples, ribbon_to_parking
+from lemmas import is_dinv_zero_structural
 
 EXAMPLE = ParkingFunction((0, 0, 1, 0, 0, 1, 2, 2, 3), (2, 4, 7, 9, 1, 5, 8, 3, 6))
 
@@ -99,14 +98,14 @@ def test_alpha_enumeration_respects_touches():
 def test_dinv_zero_characterization_up_to_7():
     for n in range(1, 8):
         for pf in parking_functions(n):
-            assert is_dinv_zero(pf) == is_dinv_zero_structural(pf)
+            assert (dinv(pf) == 0) == is_dinv_zero_structural(pf)
 
 
 def test_dinv_zero_examples():
     image = perm_to_pf0((3, 1, 7, 5, 4, 2, 6))
-    assert is_dinv_zero(image)
-    assert not is_dinv_zero(ParkingFunction((0, 0), (1, 2)))
-    assert is_dinv_zero(ParkingFunction((0, 0), (2, 1)))
+    assert dinv(image) == 0
+    assert dinv(ParkingFunction((0, 0), (1, 2))) != 0
+    assert dinv(ParkingFunction((0, 0), (2, 1))) == 0
 
 
 def test_pf0_bijection_displayed_chain():

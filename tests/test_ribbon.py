@@ -13,7 +13,6 @@ from gpdescent.ribbon import (
     algorithm_sequence,
     algorithm_tableau,
     area,
-    check_patterns,
     component_sizes,
     dinv,
     dinv_pairs,
@@ -32,6 +31,7 @@ from gpdescent.ribbon import (
     to_json_dict,
     verify_minimal_ribbons,
 )
+from lemmas import check_patterns
 
 # the (6,2,1)-shaped tuple mapping to the worked parking function
 DOFF_TUPLE = (((1, 9), (5,), (3, 8), (6,)), ((4,), (7,)), ((2,),))
