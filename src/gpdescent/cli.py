@@ -93,6 +93,8 @@ def _print_document(document: dict, fmt: str) -> None:
 
 
 def cmd_stats(args) -> int:
+    if args.n_bound is not None:
+        raise UsageError("stats reads no size bound")
     sigma = _parse_checked(args.sigma, check_permutation)
     payload = {
         "sigma": list(sigma),

@@ -114,19 +114,23 @@ def majt(sigma: Permutation) -> Composition:
     """Major index table: entry ``i`` is ``r - k`` when value ``i`` is in run ``k``.
 
     The entries sum to ``maj(sigma)``, and these are the exponents of the
-    descent monomial of ``sigma``.
+    descent monomial of ``sigma``.  ``r - k`` is the number of descents at
+    or right of the position of ``i``, so one right-to-left scan fills the
+    table.
 
     >>> majt((3, 4, 1, 5, 2))
     (1, 0, 2, 2, 1)
     >>> majt((3, 1, 7, 5, 4, 2, 6))
     (3, 0, 4, 1, 2, 0, 3)
     """
-    sigma_runs = runs(sigma)
-    r = len(sigma_runs)
     table = [0] * len(sigma)
-    for k, run in enumerate(sigma_runs, start=1):
-        for value in run:
-            table[value - 1] = r - k
+    descents = 0
+    right = len(sigma) + 1  # the value right of the current one; none at the end
+    for value in reversed(sigma):
+        if value > right:
+            descents += 1
+        table[value - 1] = descents
+        right = value
     return tuple(table)
 
 

@@ -98,7 +98,13 @@ def dinv_pairs(pf: ParkingFunction) -> set[tuple[int, int]]:
 
 
 def dinv(pf: ParkingFunction) -> int:
-    return len(dinv_pairs(pf))
+    """Number of :func:`dinv_pairs`, counted row by row without building them.
+
+    >>> dinv(ParkingFunction((0, 0, 1, 0, 0, 1, 2, 2, 3), (2, 4, 7, 9, 1, 5, 8, 3, 6)))
+    4
+    """
+    a, labels = pf
+    return sum(len(_dinv_partners(a, labels, j)) for j in range(len(a)))
 
 
 def touches(pf: ParkingFunction, alpha: Composition) -> bool:

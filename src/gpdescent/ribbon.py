@@ -303,11 +303,14 @@ Leaf = Callable[[list[int], list[int], list[Ribbon]], None]
 
 
 def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
-    """Call ``leaf(height, comp, components)`` once for every minimal tuple
+    """Call ``leaf(height, rank, components)`` once for every minimal tuple
     with component sizes ``parts`` (positive, in any order), in search order.
 
-    ``height[e]`` is the row of entry ``e`` and ``comp[e]`` the index of its
-    component (index 0 of both is unused); ``components[i]`` is component
+    ``height[e]`` is the row of entry ``e`` and ``rank[e]`` its reading
+    rank ``height[e] * len(parts) - i`` for entry ``e`` of component ``i``
+    (index 0 of both is unused): an entry with a larger rank sits in a
+    higher row, or in the same row of an earlier component, so it comes
+    earlier in the reading word.  ``components[i]`` is component
     ``i`` as a tuple of rows, built once when the component closes and
     shared by every leaf that extends it.  The three lists are updated in
     place and reused from one leaf to the next, so a leaf must read them
@@ -348,26 +351,28 @@ def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
     height ``r + 2`` or more rejects the branch.
 
     >>> found = []
-    >>> _minimal_tuple_search((2, 1), lambda height, comp, components: found.append(
-    ...     (height[1:], comp[1:], tuple(components))))
+    >>> _minimal_tuple_search((2, 1), lambda height, rank, components: found.append(
+    ...     (height[1:], rank[1:], tuple(components))))
     >>> for item in sorted(found):
     ...     print(*item)
-    [0, 0, 0] [0, 0, 1] (((1, 2),), ((3,),))
-    [0, 0, 1] [0, 1, 0] (((1,), (3,)), ((2,),))
-    [0, 1, 0] [0, 0, 1] (((1,), (2,)), ((3,),))
+    [0, 0, 0] [0, 0, -1] (((1, 2),), ((3,),))
+    [0, 0, 1] [0, -1, 2] (((1,), (3,)), ((2,),))
+    [0, 1, 0] [0, 2, -1] (((1,), (2,)), ((3,),))
     """
     n = sum(parts)
+    m = len(parts)
     height = [0] * (n + 1)
-    comp = [0] * (n + 1)
+    rank = [0] * (n + 1)
     components: list[Ribbon] = [() for _ in parts]
     if not parts:
-        leaf(height, comp, components)
+        leaf(height, rank, components)
         return
 
     def extend(i: int, free: list, rows: list, left: int, later: list) -> None:
         # ``rows``: the rows of component i chosen so far, ``left`` cells to
         # go; ``later[h]``: the entries of components i+1.. at height h.
         r = len(rows)
+        here = r * m - i
         below = rows[-1] if rows else ()
         need = 1 if r > 0 else 0
         lo = below[0] if below else 0
@@ -385,15 +390,16 @@ def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
                     cap = y
             else:
                 return
-        lasts = [v for v in free if lo < v < hi]
+        # ``free`` is ascending: it starts as a range and is only ever
+        # filtered in order, so its slices are found by bisection
+        lasts = free[bisect.bisect_right(free, lo) : bisect.bisect_left(free, hi)]
         if not lasts:
             return
         # closing the component at row r leaves the later cells above it
         # to be settled: those at r + 1 against this row, none higher
         closes = len(later) <= r + 2
         above = later[r + 1] if len(later) == r + 2 else ()
-        bound = min(cap, lasts[-1])
-        pool = [v for v in free if v < bound]
+        pool = free[: bisect.bisect_left(free, min(cap, lasts[-1]))]
         for size in range(1, min(left, len(pool) + 1) + 1):
             goes_on = size < left
             if not (goes_on or closes):
@@ -402,23 +408,23 @@ def _minimal_tuple_search(parts: tuple[int, ...], leaf: Leaf) -> None:
                 start = bisect.bisect_right(lasts, head[-1]) if head else 0
                 for e in head:
                     height[e] = r
-                    comp[e] = i
+                    rank[e] = here
                 for last in lasts[start:]:
                     chosen = head + (last,)
                     if goes_on:
                         if chosen[0] == free[-size]:
                             continue  # every free entry above chosen[0] is in chosen
-                    elif not _settled(above, r + 1, (), chosen):
+                    elif above and not _settled(above, r + 1, (), chosen):
                         continue
                     height[last] = r
-                    comp[last] = i
+                    rank[last] = here
                     rows.append(chosen)
                     if goes_on:
                         extend(i, [v for v in free if v not in chosen], rows, left - size, later)
                     else:
                         components[i] = tuple(rows)
                         if i == 0:
-                            leaf(height, comp, components)
+                            leaf(height, rank, components)
                         else:
                             merged = [
                                 (later[h] if h < len(later) else ()) + (rows[h] if h <= r else ())
@@ -458,7 +464,7 @@ def minimal_ribbon_tuples(lam: Partition) -> tuple[RibbonTuple, ...]:
     found: list[RibbonTuple] = []
     keys: list[int] = []
 
-    def keep(height: list[int], comp: list[int], components: list[Ribbon]) -> None:
+    def keep(height: list[int], rank: list[int], components: list[Ribbon]) -> None:
         key = 0
         for h in height:
             key = key * n + h

@@ -29,10 +29,15 @@ still passed through ``majt_inverse``, which raises unless ``a`` is the
 table of a permutation.
 
 The ribbon route never builds the tuples either: it tallies each minimal
-tuple where the search finds it, from the row ``height[e]`` and component
-``comp[e]`` of each entry.  The area is the sum of the heights, and ``v`` is
-in the inverse descent set of the reading word exactly when ``v + 1`` sits
-in a higher row, or in the same row of an earlier component.
+tuple where the search finds it, from the row ``height[e]`` and reading
+rank ``rank[e]`` of each entry.  The area is the sum of the heights, and
+``v`` is in the inverse descent set of the reading word exactly when
+``rank[v + 1] > rank[v]``: ``v + 1`` sits in a higher row, or in the same
+row of an earlier component.
+
+Both routes tally their items by key ``(ascents, degree)``, where
+``ascents[v - 1]`` says whether ``v`` is in the inverse descent set; the key
+of each item is made by C-level ``map`` and ``zip`` calls.
 
 Both indexings follow the convention that ``hall_littlewood_by_descents(lam)``
 returns the expansion of the polynomial indexed by ``lam`` itself, so the
@@ -42,9 +47,10 @@ hall_littlewood_by_ribbons(lam)``.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from functools import lru_cache
-from operator import lt
+from itertools import compress, count, repeat
+from operator import itemgetter, lt
 from types import MappingProxyType
 
 from .core import (
@@ -56,7 +62,7 @@ from .core import (
     n_stat,
     partitions,
 )
-from .descent import ascent_set, descent_compositions_lambda, majt_inverse
+from .descent import descent_compositions_lambda, majt_inverse
 from .ribbon import _minimal_tuple_search
 
 
@@ -177,23 +183,35 @@ def q_factorial(n: int) -> TPoly:
     return result
 
 
-def _group(n: int, classes: dict[frozenset[int], Counter]) -> tuple[SymExpansion, SymExpansion]:
-    """Group per-class tallies by shuffle and reverse-shuffle type at once.
+Tally = dict[tuple[tuple[bool, ...], int], int]
 
-    ``classes`` maps an inverse descent set to the tally of the statistic
-    over the words in that class; the ``m_mu`` coefficient sums the classes
-    that avoid (plain) or contain (twisted) the block interiors of ``mu``.
+
+def _group(n: int, tally: Tally) -> tuple[SymExpansion, SymExpansion]:
+    """Group a tally by shuffle and reverse-shuffle type at once.
+
+    ``tally`` maps ``(ascents, degree)`` to the number of words whose
+    inverse descent set holds ``v`` exactly when ``ascents[v - 1]`` is true
+    and whose statistic is ``degree``.  The ``m_mu`` coefficient sums the
+    classes of inverse descent sets that avoid (plain) or contain (twisted)
+    the block interiors of ``mu``.
     """
+    classes: dict[tuple[bool, ...], dict[int, int]] = {}
+    for (ascents, degree), total in tally.items():
+        classes.setdefault(ascents, {})[degree] = total
+    sets = [(frozenset(compress(count(1), ascents)), degrees) for ascents, degrees in classes.items()]
     plain: SymExpansion = {}
     twisted: SymExpansion = {}
     for mu in partitions(n):
         interior = block_interior(mu)
-        plain_mu, twisted_mu = Counter(), Counter()
-        for ides, tally in classes.items():
+        plain_mu: dict[int, int] = {}
+        twisted_mu: dict[int, int] = {}
+        for ides, degrees in sets:
             if ides.isdisjoint(interior):
-                plain_mu.update(tally)
+                for degree, total in degrees.items():
+                    plain_mu[degree] = plain_mu.get(degree, 0) + total
             if interior <= ides:
-                twisted_mu.update(tally)
+                for degree, total in degrees.items():
+                    twisted_mu[degree] = twisted_mu.get(degree, 0) + total
         if plain_mu:
             plain[mu] = TPoly(plain_mu)
         if twisted_mu:
@@ -203,31 +221,24 @@ def _group(n: int, classes: dict[frozenset[int], Counter]) -> tuple[SymExpansion
 
 @lru_cache(maxsize=None)
 def _descent_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
-    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
-    for a in descent_compositions_lambda(conjugate(lam)):
+    family = descent_compositions_lambda(conjugate(lam))
+    for a in family:
         majt_inverse(a)  # raises unless a is the table of a permutation
-        classes[ascent_set(a)][sum(a)] += 1
-    return _group(sum(lam), classes)
+    # key of a: (a_v < a_{v+1} for each v, |a|), the ascent set and maj
+    ascents = map(tuple, map(map, repeat(lt), family, map(itemgetter(slice(1, None)), family)))
+    return _group(sum(lam), Counter(zip(ascents, map(sum, family))))
 
 
 @lru_cache(maxsize=None)
 def _ribbon_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
-    m = len(lam)  # above every component index
-    tally: dict[tuple[tuple[bool, ...], int], int] = {}
+    tally: Tally = {}
 
-    def count(height: list[int], comp: list[int], components: list) -> None:
-        # v is in iDes when v + 1 precedes v in the reading word, that is,
-        # when level[v + 1] > level[v]: v + 1 sits in a higher row, or in
-        # the same row of an earlier component (rows increase eastward).
-        level = [h * m - c for h, c in zip(height, comp)]
-        key = (tuple(map(lt, level[1:], level[2:])), sum(height))
+    def tally_leaf(height: list[int], rank: list[int], components: list) -> None:
+        key = (tuple(map(lt, rank[1:], rank[2:])), sum(height))
         tally[key] = tally.get(key, 0) + 1
 
-    _minimal_tuple_search(lam, count)
-    classes: dict[frozenset[int], Counter] = defaultdict(Counter)
-    for (ascents, degree), total in tally.items():
-        classes[frozenset(v for v, up in enumerate(ascents, 1) if up)][degree] = total
-    return _group(sum(lam), classes)
+    _minimal_tuple_search(lam, tally_leaf)
+    return _group(sum(lam), tally)
 
 
 def hall_littlewood_by_descents(lam: Partition) -> SymExpansion:

@@ -51,6 +51,19 @@ def test_stats_rejects_malformed(capsys):
     assert code == 2
 
 
+def test_stats_refuses_a_size_bound(capsys, monkeypatch):
+    for argv in (("stats", "3,1,2", "--n-bound", "1"), ("--n-bound", "1", "stats", "3,1,2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "stats reads no size bound" in err
+    # the environment variable stays ignored: stats has no bound to override
+    monkeypatch.setenv("GPDESCENT_N_BOUND", "1")
+    code, out, _ = run(capsys, "stats", "3,1,2")
+    assert code == 0
+    assert json.loads(out)["maj"] == 1
+
+
 def test_enumerate_d_31(capsys):
     code, out, _ = run(capsys, "enumerate", "D", "3,1")
     assert code == 0

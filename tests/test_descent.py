@@ -29,6 +29,7 @@ from gpdescent.descent import (
     majt,
     majt_inverse,
     restrict,
+    runs,
 )
 from gpdescent.symfunc import TPoly, q_factorial
 
@@ -61,6 +62,19 @@ def test_tables_34152():
     assert invt(sigma) == (2, 3, 0, 0, 0)
     assert majt(sigma) == (1, 0, 2, 2, 1)
     assert majt((3, 1, 7, 5, 4, 2, 6)) == (3, 0, 4, 1, 2, 0, 3)
+
+
+def test_majt_matches_its_definition_by_runs():
+    # entry v is (number of runs) - (index of the run holding v), read off
+    # runs() directly rather than through majt_inverse
+    for n in range(8):
+        for sigma in permutations(n):
+            sigma_runs = runs(sigma)
+            expected = [0] * n
+            for k, run in enumerate(sigma_runs, start=1):
+                for v in run:
+                    expected[v - 1] = len(sigma_runs) - k
+            assert majt(sigma) == tuple(expected), sigma
 
 
 def test_identity_and_reversal():

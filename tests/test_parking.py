@@ -95,6 +95,12 @@ def test_alpha_enumeration_respects_touches():
     assert set(pfs) == {pf for pf in parking_functions(4) if touches(pf, (1, 3))}
 
 
+def test_dinv_counts_the_dinv_pairs():
+    for n in range(6):
+        for pf in parking_functions(n):
+            assert dinv(pf) == len(dinv_pairs(pf)), pf
+
+
 def test_dinv_zero_characterization_up_to_7():
     for n in range(1, 8):
         for pf in parking_functions(n):

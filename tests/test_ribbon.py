@@ -211,21 +211,26 @@ def test_verify_minimal_ribbons(monkeypatch):
 
 
 def test_search_arrays_describe_each_leaf():
-    # the ribbon route reads height and comp instead of the tuple, so both
-    # must match the leaf's components
+    # the ribbon route reads height and rank instead of the tuple, so both
+    # must match the leaf's components, and comparing the ranks of v and
+    # v + 1 must tell which of them the reading word has first
     from gpdescent.ribbon import _minimal_tuple_search
 
     for n in range(7):
         for lam in partitions(n):
             leaves = []
 
-            def check(height, comp, components):
+            def check(height, rank, components):
                 tup = tuple(components)
                 assert height[1:] == list(height_vector(tup))
-                assert comp[1:] == [
+                comp = [
                     next(i for i, c in enumerate(tup) if any(e in row for row in c))
                     for e in range(1, n + 1)
                 ]
+                assert rank[1:] == [height[e] * len(tup) - comp[e - 1] for e in range(1, n + 1)]
+                position = {v: p for p, v in enumerate(reading_word(tup))}
+                for v in range(1, n):
+                    assert (rank[v + 1] > rank[v]) == (position[v + 1] < position[v]), (tup, v)
                 leaves.append(tup)
 
             _minimal_tuple_search(lam, check)
