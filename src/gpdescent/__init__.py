@@ -50,7 +50,6 @@ from .tanisaki import (
     hilbert_series,
     tanisaki_ideal,
     verify_descent_basis,
-    verify_leading_terms,
     verify_parabolic_basis,
     verify_phi_injective,
 )

@@ -136,10 +136,6 @@ class TPoly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return max(self.coeffs) if self.coeffs else -1
 
-    def at_one(self) -> int:
-        """Evaluation at t = 1."""
-        return sum(self.coeffs.values())
-
     def __getitem__(self, degree: int) -> int:
         return self.coeffs.get(degree, 0)
 

@@ -102,19 +102,6 @@ from .polynomial import (
 from .symfunc import TPoly, hall_littlewood_by_ribbons
 
 
-class ResourceBoundError(RuntimeError):
-    """Raised when a request exceeds the configured size bound."""
-
-
-DEFAULT_BOUND = 7
-PHI_BOUND = 4
-
-
-def check_bound(n: int, bound: int) -> None:
-    if n > bound:
-        raise ResourceBoundError(f"n = {n} exceeds configured bound {bound}")
-
-
 def p_stat(lam: Partition, m: int) -> int:
     """Sum of the last ``m`` entries of the conjugate of ``lam`` padded to
     length ``|lam|``.
@@ -408,7 +395,7 @@ def ideal_member(lam: Partition, p: MPoly) -> bool:
     return not _quotient_normal_form(lam, p)
 
 
-def hilbert_series(lam: Partition, bound: int = DEFAULT_BOUND) -> TPoly:
+def hilbert_series(lam: Partition) -> TPoly:
     """Graded dimensions of the quotient by the ideal of ``lam``.
 
     Degree ``d`` counts the standard monomials of the quotient slice
@@ -422,7 +409,6 @@ def hilbert_series(lam: Partition, bound: int = DEFAULT_BOUND) -> TPoly:
     TPoly({0: 1})
     """
     lam = check_partition(lam)
-    check_bound(sum(lam), bound)
     dims = {}
     total = 0
     for degree in range(n_stat(lam) + 1):
@@ -458,7 +444,7 @@ class GradedBasisReport:
         }
 
 
-def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBasisReport:
+def verify_descent_basis(lam: Partition) -> GradedBasisReport:
     """Degree by degree: the monomials with exponents in the shape-``lam``
     descent family must avoid the leading terms of the conjugate ideal and
     must count exactly the quotient dimension.
@@ -467,7 +453,6 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
     True
     """
     lam = check_partition(lam)
-    check_bound(sum(lam), bound)
     target_ideal = conjugate(lam)
     by_degree = _by_degree(descent_compositions_lambda(lam))
     top = n_stat(target_ideal)
@@ -480,12 +465,6 @@ def verify_descent_basis(lam: Partition, bound: int = DEFAULT_BOUND) -> GradedBa
         leading_ok = leading_ok and standard == set(by_degree.get(degree, ()))
     basis_ok = leading_ok and sum(dims.values()) == multinomial(lam)
     return GradedBasisReport(lam, TPoly(dims), basis_ok, leading_ok)
-
-
-def verify_leading_terms(lam: Partition, bound: int = DEFAULT_BOUND) -> bool:
-    """Leading monomials of the conjugate ideal under the descent order are
-    exactly the monomials outside the shape-``lam`` descent family."""
-    return verify_descent_basis(lam, bound).leading_terms_ok
 
 
 def _quotient_normal_form(lam_ideal: Partition, p: MPoly) -> MPoly:
@@ -563,8 +542,10 @@ def _reverse_shuffle_part(lam: Partition, mu: Composition) -> list[Composition]:
     in the shape-``lam`` major-index family, by degree, then exponent.
     The inverse descent set of ``tau`` is the ascent set of its table, so
     ``tau`` is never built: ``a`` is kept when its ascent set contains the
-    block interiors of ``mu``."""
+    block interiors of ``mu``.  Zero parts are allowed, negative ones raise."""
     lam = check_partition(lam)
+    if any(part < 0 for part in mu):
+        raise ValueError(f"mu must have no negative part, got {tuple(mu)}")
     if sum(mu) != sum(lam):
         raise ValueError("mu must be a composition of the same n")
     interior = block_interior(mu)
@@ -619,9 +600,7 @@ class ParabolicReport:
         }
 
 
-def verify_parabolic_basis(
-    lam: Partition, mu: Composition, bound: int = DEFAULT_BOUND
-) -> ParabolicReport:
+def verify_parabolic_basis(lam: Partition, mu: Composition) -> ParabolicReport:
     """Check that the antisymmetrized family is a basis of the image of the
     antisymmetrizer on the quotient: linearly independent modulo the
     conjugate ideal, with graded count equal to the rank of the induced
@@ -632,7 +611,6 @@ def verify_parabolic_basis(
     shape ``lam``), which shares no step with the count.
     """
     lam = check_partition(lam)
-    check_bound(sum(lam), bound)
     mu = tuple(mu)
     ideal_shape = conjugate(lam)
     kept = _by_degree(_reverse_shuffle_part(lam, mu))
@@ -675,7 +653,7 @@ def verify_parabolic_basis(
     return ParabolicReport(lam, mu, count_poly, independent, spans, matches)
 
 
-def verify_phi_injective(lam: Partition, bound: int = PHI_BOUND) -> bool:
+def verify_phi_injective(lam: Partition) -> bool:
     """Assemble the direct sum over all ordered set partitions of type
     ``lam`` of the split-reduce maps on a basis of the quotient of the
     conjugate ideal, and confirm full rank degree by degree.
@@ -684,8 +662,6 @@ def verify_phi_injective(lam: Partition, bound: int = PHI_BOUND) -> bool:
     True
     """
     lam = check_partition(lam)
-    n = sum(lam)
-    check_bound(n, bound)
     osps = ordered_set_partitions(lam)
     for basis in _by_degree(descent_compositions_lambda(lam)).values():
         columns: dict = {}

@@ -288,7 +288,7 @@ def test_default_verify_skips_phi_above_its_bound(capsys, monkeypatch):
     # skipped rather than failing the whole run
     import gpdescent.cli as cli_module
 
-    def not_reached(lam, bound):
+    def not_reached(lam):
         raise AssertionError("the implied phi check ran above its bound")
 
     monkeypatch.delenv("GPDESCENT_N_BOUND", raising=False)
@@ -305,7 +305,7 @@ def test_default_verify_skips_phi_above_its_bound(capsys, monkeypatch):
 def test_explicit_phi_above_its_bound_fails_before_any_check(capsys, monkeypatch):
     import gpdescent.cli as cli_module
 
-    def not_reached(lam, bound):
+    def not_reached(lam):
         raise AssertionError("basis ran before the phi bound was checked")
 
     monkeypatch.delenv("GPDESCENT_N_BOUND", raising=False)
@@ -389,7 +389,7 @@ def test_argument_text_errors_exit_2(capsys, monkeypatch):
 def test_value_error_inside_a_check_is_an_internal_error(capsys, monkeypatch):
     import gpdescent.cli as cli_module
 
-    def broken(lam, mu, bound):
+    def broken(lam, mu):
         raise ValueError("mu must be a composition of the same n")
 
     monkeypatch.setattr(cli_module.tanisaki, "verify_parabolic_basis", broken)

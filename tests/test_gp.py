@@ -22,7 +22,6 @@ from gpdescent.polynomial import (
 )
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
 from gpdescent.tanisaki import (
-    ResourceBoundError,
     _descent_walk,
     _generator_row_needed,
     _koszul_row_needed,
@@ -38,7 +37,6 @@ from gpdescent.tanisaki import (
     phi_map,
     tanisaki_ideal,
     verify_descent_basis,
-    verify_leading_terms,
     verify_parabolic_basis,
     verify_phi_injective,
 )
@@ -249,12 +247,10 @@ def test_hilbert_series_examples():
     assert hilbert_series((2, 2)) == TPoly.from_coefficient_list([1, 3, 2])
 
 
-def test_hilbert_series_counts_and_bound():
+def test_hilbert_series_counts():
     for n in range(1, 5):
         for lam in partitions(n):
-            assert hilbert_series(lam).at_one() == multinomial(conjugate(lam))
-    with pytest.raises(ResourceBoundError):
-        hilbert_series((7,), bound=6)
+            assert sum(hilbert_series(lam).coeffs.values()) == multinomial(conjugate(lam))
 
 
 def test_hilbert_matches_full_size_coefficient_up_to_5():
@@ -509,7 +505,7 @@ def test_verify_descent_basis_small():
         for lam in partitions(n):
             report = verify_descent_basis(lam)
             assert report.basis_ok and report.leading_terms_ok
-            assert report.hilbert.at_one() == multinomial(lam)
+            assert sum(report.hilbert.coeffs.values()) == multinomial(lam)
 
 
 def test_verify_descent_basis_shapes():
@@ -522,9 +518,8 @@ def test_verify_descent_basis_shapes():
 
 
 def test_verify_leading_terms_small():
-    assert verify_leading_terms((3,))
-    assert verify_leading_terms((2, 2))
-    assert verify_leading_terms((1, 1, 1))
+    for lam in [(3,), (2, 2), (1, 1, 1)]:
+        assert verify_descent_basis(lam).leading_terms_ok
 
 
 def test_descent_normal_form():
@@ -619,7 +614,7 @@ def test_parabolic_trivial_mu():
     # the full graded family size
     report = verify_parabolic_basis((2, 1), (1, 1, 1))
     assert report.ok
-    assert report.count_poly.at_one() == multinomial((2, 1))
+    assert sum(report.count_poly.coeffs.values()) == multinomial((2, 1))
 
 
 def test_parabolic_check_needs_every_degree(monkeypatch):
@@ -681,6 +676,18 @@ def test_parabolic_unsorted_mu():
             assert report.matches_expansion is (None if mu != (2, 1, 1) else True)
 
 
+def test_parabolic_rejects_a_negative_part():
+    # a negative block length would slice from the end of the exponent
+    for mu in [(-1, 4), (4, -1), (2, -1, 2)]:
+        with pytest.raises(ValueError, match="negative"):
+            verify_parabolic_basis((2, 1), mu)
+        with pytest.raises(ValueError, match="negative"):
+            parabolic_basis_elements((2, 1), mu)
+    # zero parts stay allowed
+    assert verify_parabolic_basis((2, 1), (0, 2, 1)).ok
+    assert parabolic_basis_elements((2, 1), (2, 0, 1)) == parabolic_basis_elements((2, 1), (2, 1))
+
+
 def test_antisymmetrized_monomials_sit_at_the_descent_bottom():
     # the reverse-shuffle exponent is the descent-order minimum of its
     # antisymmetrization; all other terms are strictly higher
@@ -695,8 +702,9 @@ def test_phi_injective_small():
     assert verify_phi_injective((3,))
     assert verify_phi_injective((2, 1))
     assert verify_phi_injective((2, 2))
-    with pytest.raises(ResourceBoundError):
-        verify_phi_injective((3, 2))
+    # the library takes no size bound; the CLI holds phi to its own
+    for lam in partitions(5):
+        assert verify_phi_injective(lam), lam
 
 
 def test_tanimap_spot_check_small():
