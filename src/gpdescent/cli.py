@@ -124,6 +124,17 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _json_line(document: dict) -> str:
+    """``json.dumps(document)`` and a newline, for an enumerated element.
+
+    Every key is a plain ASCII name and every value an ``int`` or a nested
+    list of ``int``s, and ``str`` renders such a list exactly as
+    ``json.dumps`` does by default (``", "`` between items), so the line
+    needs no encoder call.
+    """
+    return "{" + ", ".join([f'"{key}": {value}' for key, value in document.items()]) + "}\n"
+
+
 def cmd_enumerate(args) -> int:
     lam = _read_shape(args)
     if args.kind == "D":
@@ -138,10 +149,15 @@ def cmd_enumerate(args) -> int:
     else:
         family = parking.minimal_parking_functions(tuple(reversed(lam)))
         to_json, to_text = parking.to_json_dict, (lambda pf: parking.render(pf) + "\n")
+    # One write per element, as it is produced.
+    write = sys.stdout.write
     count = 0
-    for item in family:
-        print(json.dumps(to_json(item)) if args.format == "json" else to_text(item))
-        count += 1
+    if args.format == "json":
+        for count, item in enumerate(family, 1):
+            write(_json_line(to_json(item)))
+    else:
+        for count, item in enumerate(family, 1):
+            write(f"{to_text(item)}\n")
     summary = {"count": count, "multinomial": multinomial(lam)}
     print(json.dumps(summary) if args.format == "json" else f"count: {count} (multinomial {summary['multinomial']})")
     return EXIT_OK

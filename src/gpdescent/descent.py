@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress, count
+from operator import gt, itemgetter
 from typing import NamedTuple
 
 from .core import (
@@ -70,7 +71,7 @@ def maj(sigma: Permutation) -> int:
     >>> maj((3, 5, 1, 2, 4))
     2
     """
-    return sum(descent_set(sigma))
+    return sum(compress(count(1), map(gt, sigma, sigma[1:])))
 
 
 def invt(sigma: Permutation) -> Composition:

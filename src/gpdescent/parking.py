@@ -16,7 +16,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple
 
-from .core import Composition, Permutation, is_permutation, n_stat, value_blocks
+from .core import (
+    Composition,
+    Permutation,
+    is_permutation,
+    n_stat,
+    ordered_set_partitions,
+    value_blocks,
+)
 
 
 class ParkingFunction(NamedTuple):
@@ -152,28 +159,18 @@ def _labelings(area_seq: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All label permutations valid for ``area_seq``.
 
     Rows linked by rises form chains that must be labeled increasingly, so
-    a labeling amounts to distributing ``{1..n}`` over the chains.
+    a labeling amounts to distributing ``{1..n}`` over the chains: one
+    ordered set partition with the chain sizes.  The chains are runs of
+    consecutive rows, so the blocks, joined, are the labels bottom row first.
     """
-    n = len(area_seq)
-    chains: list[list[int]] = []
-    for i in range(n):
-        if i and area_seq[i] == area_seq[i - 1] + 1:
-            chains[-1].append(i)
+    sizes: list[int] = []
+    for i, level in enumerate(area_seq):
+        if i and level == area_seq[i - 1] + 1:
+            sizes[-1] += 1
         else:
-            chains.append([i])
-
-    def assign(chain_index: int, free: tuple[int, ...], labels: list[int]):
-        if chain_index == len(chains):
-            yield tuple(labels)
-            return
-        chain = chains[chain_index]
-        for values in itertools.combinations(free, len(chain)):
-            for row, value in zip(chain, values):
-                labels[row] = value
-            remaining = tuple(v for v in free if v not in values)
-            yield from assign(chain_index + 1, remaining, labels)
-
-    yield from assign(0, tuple(range(1, n + 1)), [0] * n)
+            sizes.append(1)
+    for blocks in ordered_set_partitions(tuple(sizes)):
+        yield tuple(itertools.chain.from_iterable(blocks))
 
 
 def parking_functions(n: int) -> Iterator[ParkingFunction]:

@@ -534,7 +534,7 @@ def algorithm_sequence(a: Composition, lam: Partition) -> tuple[tuple[int, ...],
 
 
 def _recover(
-    unused: list[list[int]], sizes: Iterable[int], failure: Exception
+    unused: list[list[int]], sizes: Iterable[int]
 ) -> list[tuple[list[int], list[list[int]]]]:
     """The set recovery of the ribbon bijection, on entries bucketed by height.
 
@@ -545,8 +545,8 @@ def _recover(
     smallest entry at height 0; then each step goes to the smallest unused
     entry one row up that is larger than the current one, if there is one,
     and otherwise to the smallest unused entry in the highest non-empty row
-    at or below the current one.  Raises ``failure`` when no entry is left
-    to go to.
+    at or below the current one.  Raises :class:`DoesNotTerminate`, with no
+    context, when no entry is left to go to; the callers add theirs.
 
     For each block, returns its entries in pick order and its entries
     grouped by height (``rows[h]`` in pick order, not sorted).  A block
@@ -570,7 +570,7 @@ def _recover(
                 while level >= 0 and not unused[level]:
                     level -= 1
                 if level < 0:
-                    raise failure
+                    raise DoesNotTerminate
                 current = unused[level].pop(0)
                 rows[level].append(current)
             picked.append(current)
@@ -602,7 +602,10 @@ def algorithm_tableau(tup: RibbonTuple) -> tuple[tuple[int, ...], ...]:
         sizes.append(size)
     for cells in unused:
         cells.sort()
-    blocks = _recover(unused, sizes, DoesNotTerminate(tup))
+    try:
+        blocks = _recover(unused, sizes)
+    except DoesNotTerminate:
+        raise DoesNotTerminate(tup) from None
     return tuple([tuple(picked) for picked, _ in blocks])
 
 
@@ -659,9 +662,10 @@ def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
     for j, h in enumerate(a, 1):
         unused[h].append(j)
     try:
-        blocks = _recover(unused, lam, DoesNotTerminate((a, lam)))
-    except DoesNotTerminate as exc:
-        raise ReconstructionError(f"set recovery failed for {a}") from exc
+        blocks = _recover(unused, lam)
+    except DoesNotTerminate:
+        context = DoesNotTerminate((a, lam))
+        raise ReconstructionError(f"set recovery failed for {a}") from context
     components = []
     for _, rows in blocks:
         if not rows:

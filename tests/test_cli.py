@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 from pathlib import Path
 
 import gpdescent
+from gpdescent import cli
 from gpdescent.cli import CHECKS, EXIT_PIPE, main
+from gpdescent.core import partitions
 
 
 def run(capsys, *argv):
@@ -89,6 +92,46 @@ def test_enumerate_pf0(capsys):
     code, out, _ = run(capsys, "enumerate", "PF0", "3,1")
     lines = out.strip().splitlines()
     assert json.loads(lines[-1])["count"] == 12
+
+
+def test_enumerate_json_lines_are_json_dumps_up_to_6(capsys, monkeypatch):
+    # each element line is json.dumps of the very dict cmd_enumerate built,
+    # for every kind on every shape of size 6
+    encode = cli._json_line
+    documents = []
+
+    def checked(document):
+        line = encode(document)
+        assert line == json.dumps(document) + "\n", document
+        documents.append(document)
+        return line
+
+    monkeypatch.setattr(cli, "_json_line", checked)
+    for kind in ("D", "Jmaj", "R0", "PF0"):
+        for lam in partitions(6):
+            documents.clear()
+            code, out, _ = run(capsys, "enumerate", kind, ",".join(map(str, lam)))
+            *lines, summary = out.splitlines()
+            assert code == 0
+            assert len(lines) == len(documents) == json.loads(summary)["count"] > 0
+            assert [json.loads(line) for line in lines] == documents
+
+
+# sha256 of `--format table enumerate KIND 3,2,1`, recorded when each
+# element was still printed with print(); the table layout must not move
+TABLE_SHA256 = {
+    "D": "819667e4c1184342494459748c46c4cf862c1fb766569186b17333560be00ef3",
+    "Jmaj": "467a5043873eaf45b5e17cb9aa3654210c7af4cf2cc74a3650e54fdf0715f787",
+    "R0": "7e1eca752bbdc0580308c3f6aca197efa2041c3ca7a3e9059bbed64ec479403b",
+    "PF0": "4e34ce61e274fa197e8048f41277d001cac341aab8c76b927ad642a4bd9fdf68",
+}
+
+
+def test_enumerate_table_output_is_pinned(capsys):
+    for kind, digest in TABLE_SHA256.items():
+        code, out, _ = run(capsys, "--format", "table", "enumerate", kind, "3,2,1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, kind
 
 
 def test_enumerate_rejects_non_partition(capsys):

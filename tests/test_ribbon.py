@@ -345,9 +345,9 @@ def test_recover_matches_algorithm_sequence():
                     expected = algorithm_sequence(a, lam)
                 except DoesNotTerminate:
                     with pytest.raises(DoesNotTerminate):
-                        _recover(unused, lam, DoesNotTerminate(a))
+                        _recover(unused, lam)
                     continue
-                blocks = _recover(unused, lam, DoesNotTerminate(a))
+                blocks = _recover(unused, lam)
                 assert tuple(tuple(picked) for picked, _ in blocks) == expected, (a, lam)
                 for picked, rows in blocks:
                     assert rows == [
@@ -372,6 +372,19 @@ def test_algorithm_does_not_terminate():
     # height 1 belongs to the same index as the only level-0 start
     with pytest.raises(DoesNotTerminate):
         algorithm_sequence((1, 1), (1, 1))
+
+
+def test_recovery_failures_name_the_callers_input():
+    # _recover raises a bare DoesNotTerminate; algorithm_tableau re-raises it
+    # with the tuple, reconstruct chains (a, lam) under its own error
+    tup = (((2,), (1,)),)  # the block starts at 2, and 1 is above, not larger
+    with pytest.raises(DoesNotTerminate) as info:
+        algorithm_tableau(tup)
+    assert info.value.args == (tup,)
+    with pytest.raises(ReconstructionError, match="set recovery failed") as info:
+        reconstruct((1, 1), (1, 1))  # nothing at height 0 to start from
+    assert isinstance(info.value.__cause__, DoesNotTerminate)
+    assert info.value.__cause__.args == (((1, 1), (1, 1)),)
 
 
 def test_reconstruct_worked_example():
@@ -427,7 +440,7 @@ def test_reconstruct_checks_minimality(monkeypatch):
     # check the rows of one
     import gpdescent.ribbon as ribbon_module
 
-    def recover(unused, sizes, failure):
+    def recover(unused, sizes):
         return [
             ([e for row in comp for e in row], [list(row) for row in comp])
             for comp in DOFF_TUPLE
