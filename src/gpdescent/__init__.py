@@ -43,7 +43,6 @@ from .symfunc import (
     TPoly,
     hall_littlewood_by_descents,
     hall_littlewood_by_ribbons,
-    hall_littlewood_omega_by_descents,
     q_factorial,
 )
 from .tanisaki import (

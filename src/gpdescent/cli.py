@@ -176,11 +176,7 @@ def cmd_hall_littlewood(args) -> int:
     lam = _read_shape(args)
     routes = {}
     if args.route in ("descents", "both"):
-        routes["descents"] = (
-            symfunc.hall_littlewood_omega_by_descents(lam)
-            if args.twisted
-            else symfunc.hall_littlewood_by_descents(lam)
-        )
+        routes["descents"] = symfunc.hall_littlewood_by_descents(lam, twisted=args.twisted)
     if args.route in ("ribbons", "both"):
         routes["ribbons"] = symfunc.hall_littlewood_by_ribbons(
             conjugate(lam), twisted=args.twisted

@@ -20,7 +20,6 @@ import itertools
 from functools import lru_cache
 from itertools import compress, count
 from operator import gt, itemgetter
-from typing import NamedTuple
 
 from .core import (
     Composition,
@@ -211,20 +210,6 @@ def descent_key(a: Composition):
     return (tuple(sorted(a, reverse=True)), tuple(a))
 
 
-def descent_compare(a: Composition, b: Composition) -> int:
-    """Three-way comparison in the descent order: -1, 0, or 1.
-
-    >>> descent_compare((0, 1, 1), (2, 0, 0))
-    -1
-    >>> descent_compare((1, 0, 1), (1, 1, 0))
-    -1
-    """
-    if len(a) != len(b):
-        raise ValueError("descent order compares equal-length compositions")
-    ka, kb = descent_key(a), descent_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def restrict(a: Composition, positions) -> Composition:
     """Subsequence of ``a`` at the 1-based ``positions``, in original order.
 
@@ -301,25 +286,3 @@ def j_maj(lam: Partition) -> tuple[Permutation, ...]:
     """
     return tuple(majt_inverse(a) for a in descent_compositions_lambda(lam))
 
-
-class DescentBasisElement(NamedTuple):
-    """A descent monomial together with its indexing permutation.
-
-    >>> DescentBasisElement.from_witness((3, 4, 1, 5, 2))
-    DescentBasisElement(exponent=(1, 0, 2, 2, 1), witness=(3, 4, 1, 5, 2), degree=6)
-    >>> DescentBasisElement.from_exponent((0, 1, 0)).witness
-    (2, 1, 3)
-    """
-
-    exponent: Composition
-    witness: Permutation
-    degree: int
-
-    @classmethod
-    def from_witness(cls, sigma: Permutation) -> "DescentBasisElement":
-        exponent = majt(sigma)
-        return cls(exponent, tuple(sigma), sum(exponent))
-
-    @classmethod
-    def from_exponent(cls, a: Composition) -> "DescentBasisElement":
-        return cls(tuple(a), majt_inverse(a), sum(a))

@@ -233,18 +233,6 @@ def pf0_to_perm(pf: ParkingFunction) -> Permutation:
     return reading_word(pf)
 
 
-def level_composition(pf: ParkingFunction) -> Composition:
-    """Composition whose entry ``i`` is the level of the row labeled ``i``.
-
-    For dinv-zero parking functions this equals ``majt`` of the reading word.
-    """
-    n = len(pf.area)
-    entry = [0] * n
-    for i in range(n):
-        entry[pf.labels[i] - 1] = pf.area[i]
-    return tuple(entry)
-
-
 def minimal_parking_functions(alpha: Composition) -> list[ParkingFunction]:
     """Touch-constrained parking functions minimizing ``dinv + doff``, sorted.
 

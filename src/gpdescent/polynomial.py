@@ -1,12 +1,13 @@
-"""Exact sparse multivariate polynomial arithmetic.
+"""Exact sparse multivariate polynomials: the partial elementary symmetric
+generators of the Tanisaki ideals, the antisymmetrizer over a Young
+subgroup, and the exponent split behind the splitting map.
 
 A polynomial in ``x_1, ..., x_n`` is a dict mapping exponent tuples of
 length ``n`` to nonzero coefficients; the zero polynomial is the empty
-dict.  Every polynomial built here has ``int`` coefficients.  The
-arithmetic helpers add and multiply whatever exact coefficients they are
-given, so rational polynomials (normal forms modulo an ideal) pass through
-them too.  Variables are 1-based in the API to match the rest of the
-package (``x_i`` is slot ``i - 1`` of the exponent tuple).
+dict.  Every polynomial built here has ``int`` coefficients, and
+:func:`antisymmetrize` keeps whatever exact coefficients it is given.
+Variables are 1-based in the API to match the rest of the package (``x_i``
+is slot ``i - 1`` of the exponent tuple).
 """
 
 from __future__ import annotations
@@ -24,35 +25,8 @@ def const(n: int, value) -> MPoly:
     return {(0,) * n: value} if value else {}
 
 
-def variable(n: int, i: int) -> MPoly:
-    """The polynomial ``x_i`` in ``n`` variables (``1 <= i <= n``)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"variable index {i} out of range 1..{n}")
-    exp = [0] * n
-    exp[i - 1] = 1
-    return {tuple(exp): 1}
-
-
 def monomial(exp: Exponent, coeff=1) -> MPoly:
     return {tuple(exp): coeff} if coeff else {}
-
-
-def mul(a: MPoly, b: MPoly) -> MPoly:
-    out: MPoly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            new = out.get(exp, 0) + ca * cb
-            if new:
-                out[exp] = new
-            else:
-                out.pop(exp, None)
-    return out
-
-
-def mul_monomial(a: MPoly, exp: Exponent) -> MPoly:
-    """Multiply by a single monomial (no coefficient)."""
-    return {tuple(x + y for x, y in zip(e, exp)): c for e, c in a.items()}
 
 
 def elementary_symmetric(d: int, variables: Iterable[int], n: int) -> MPoly:
@@ -117,9 +91,8 @@ def antisymmetrize(mu, p: MPoly) -> MPoly:
     ``(-1)^k`` times the monomial with each block sorted ascending, where
     ``k`` counts the inversions of ``e`` inside the blocks.
 
-    >>> result = antisymmetrize((2,), variable(2, 1))
-    >>> sorted(result.items())
-    [((0, 1), -1), ((1, 0), 1)]
+    >>> antisymmetrize((2,), {(1, 0): 1})
+    {(1, 0): 1, (0, 1): -1}
     >>> antisymmetrize((2, 1), {(3, 3, 0): 1})
     {}
     """
@@ -143,47 +116,3 @@ def split_exponent(exp: Exponent, positions: tuple[int, ...]) -> tuple[Exponent,
     chosen = set(positions)
     complement = tuple(exp[i] for i in range(len(exp)) if i + 1 not in chosen)
     return inside, complement
-
-
-def monomials_of_degree(n: int, d: int) -> list[Exponent]:
-    """All exponent tuples of total degree ``d`` in ``n`` variables,
-    in decreasing lexicographic order (so ``x_1^d`` comes first); none
-    when ``d`` is negative."""
-    result: list[Exponent] = []
-
-    def build(slot: int, remaining: int, prefix: tuple[int, ...]):
-        if slot == n - 1:
-            result.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            build(slot + 1, remaining - e, prefix + (e,))
-
-    if d < 0:
-        return []
-    if n == 0:
-        return [()] if d == 0 else []
-    build(0, d, ())
-    return result
-
-
-def poly_str(p: MPoly) -> str:
-    """Human-readable form with variables named x1, x2, ..."""
-    if not p:
-        return "0"
-    terms = []
-    for exp in sorted(p, reverse=True):
-        coeff = p[exp]
-        factors = []
-        for i, e in enumerate(exp):
-            if e == 1:
-                factors.append(f"x{i + 1}")
-            elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
-        body = "*".join(factors) if factors else "1"
-        if coeff == 1 and factors:
-            terms.append(body)
-        elif coeff == -1 and factors:
-            terms.append(f"-{body}")
-        else:
-            terms.append(f"{coeff}*{body}" if factors else str(coeff))
-    return " + ".join(terms).replace("+ -", "- ")

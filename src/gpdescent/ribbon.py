@@ -55,61 +55,6 @@ class ReconstructionError(ValueError):
     """Raised when a composition does not reconstruct to a minimal ribbon tuple."""
 
 
-def is_valid_ribbon(rows: Ribbon) -> bool:
-    """Validity of a single component: every row non-empty and strictly
-    increasing, and every row topping the row below it.
-
-    >>> is_valid_ribbon(((1, 9), (5,), (3, 8), (6,)))
-    True
-    >>> is_valid_ribbon(((2, 1),))
-    False
-    """
-    if not rows:
-        return False
-    below: tuple[int, ...] = ()
-    for row in rows:
-        if not row:
-            return False
-        for k in range(1, len(row)):
-            if row[k - 1] >= row[k]:
-                return False
-        if below and row[-1] <= below[0]:
-            return False
-        below = row
-    return True
-
-
-def _fills(tup: RibbonTuple, lam: Partition | None) -> bool:
-    """Whether the entries of ``tup`` are exactly ``1..n`` and, when ``lam``
-    is given, its component sizes are ``lam``."""
-    entries: list[int] = []
-    sizes = []
-    for comp in tup:
-        before = len(entries)
-        for row in comp:
-            entries.extend(row)
-        sizes.append(len(entries) - before)
-    entries.sort()
-    if entries != list(range(1, len(entries) + 1)):
-        return False
-    return lam is None or tuple(sizes) == tuple(lam)
-
-
-def is_valid(tup: RibbonTuple, lam: Partition | None = None) -> bool:
-    """Validity of a tuple: each component a ribbon, entries exactly 1..n,
-    and component sizes equal to ``lam`` when given.
-
-    >>> is_valid((((1, 3),), ((2,),)), (2, 1))
-    True
-    >>> is_valid((), ())
-    True
-    """
-    for comp in tup:
-        if not is_valid_ribbon(comp):
-            return False
-    return _fills(tup, lam)
-
-
 def component_sizes(tup: RibbonTuple) -> tuple[int, ...]:
     return tuple(sum(len(row) for row in comp) for comp in tup)
 
@@ -273,24 +218,12 @@ def _ribbon(word: Permutation) -> Ribbon:
     return tuple(reversed(runs(word)))
 
 
-def ribbon_fillings(entries: tuple[int, ...]) -> Iterator[Ribbon]:
-    """All ribbons on a fixed entry set, one per ordering of the entries:
-    the rows of a ribbon read from the top down form a word whose runs are
-    the rows.
-
-    >>> sorted(ribbon_fillings((1, 2)))
-    [((1,), (2,)), ((1, 2),)]
-    """
-    for word in itertools.permutations(sorted(entries)):
-        yield _ribbon(word)
-
-
 def ribbon_tuples(lam: Partition) -> Iterator[RibbonTuple]:
     """All ribbon tuples with component sizes ``lam`` on entries ``1..n``.
 
     There are ``n!`` of them: every permutation of ``1..n`` cut into
     consecutive pieces of sizes ``lam``, each piece's runs the rows of one
-    component (:func:`ribbon_fillings`).
+    component (:func:`_ribbon`).
     """
     parts = tuple(p for p in lam if p > 0)
     cuts = list(itertools.accumulate(parts, initial=0))
@@ -637,11 +570,12 @@ def reconstruct(a: Composition, lam: Partition) -> RibbonTuple:
 
     The rest holds by construction, so it is not checked again:
 
-    - what :func:`_fills` checks, since each ``j`` in ``1..n`` is picked
-      once and block ``k`` takes ``lam_k`` entries;
+    - that the entries are ``1..n`` in components of sizes ``lam``, since
+      each ``j`` in ``1..n`` is picked once and block ``k`` takes ``lam_k``
+      entries;
     - the height vector, since each ``j`` sits at height ``a_j``;
-    - what :func:`is_valid_ribbon` checks, for a block that took an entry.
-      A block climbs one row at a time, so each of its rows up to the top
+    - that each block that took an entry is a ribbon: its rows are
+      non-empty and increasing, each topping the row below.  A block climbs one row at a time, so each of its rows up to the top
       is non-empty.  It first reaches height ``h + 1`` by a step up from an
       entry at height ``h`` to a larger one, so each row tops the row below.
 

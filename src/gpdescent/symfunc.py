@@ -41,8 +41,8 @@ of each item is made by C-level ``map`` and ``zip`` calls.
 
 Both indexings follow the convention that ``hall_littlewood_by_descents(lam)``
 returns the expansion of the polynomial indexed by ``lam`` itself, so the
-cross-check is ``hall_littlewood_by_descents(conjugate(lam)) ==
-hall_littlewood_by_ribbons(lam)``.
+cross-check is ``hall_littlewood_by_descents(conjugate(lam), twisted) ==
+hall_littlewood_by_ribbons(lam, twisted)``, plain or twisted alike.
 """
 
 from __future__ import annotations
@@ -53,15 +53,7 @@ from itertools import compress, count, repeat
 from operator import itemgetter, lt
 from types import MappingProxyType
 
-from .core import (
-    Partition,
-    block_interior,
-    check_partition,
-    conjugate,
-    dominates,
-    n_stat,
-    partitions,
-)
+from .core import Partition, block_interior, check_partition, conjugate, partitions
 from .descent import descent_compositions_lambda, majt_inverse
 from .ribbon import _minimal_tuple_search
 
@@ -119,22 +111,12 @@ class TPoly:
             result[d] = result.get(d, 0) + c
         return TPoly(result)
 
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        result = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            result[d] = result.get(d, 0) - c
-        return TPoly(result)
-
     def __mul__(self, other: "TPoly") -> "TPoly":
         result: dict[int, int] = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 result[d1 + d2] = result.get(d1 + d2, 0) + c1 * c2
         return TPoly(result)
-
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.coeffs) if self.coeffs else -1
 
     def __getitem__(self, degree: int) -> int:
         return self.coeffs.get(degree, 0)
@@ -237,20 +219,21 @@ def _ribbon_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
     return _group(sum(lam), tally)
 
 
-def hall_littlewood_by_descents(lam: Partition) -> SymExpansion:
+def hall_littlewood_by_descents(lam: Partition, twisted: bool = False) -> SymExpansion:
     """Monomial expansion of the modified Hall-Littlewood polynomial indexed
     by ``lam``: the ``m_mu`` coefficient sums ``t^maj`` over the shape-``lam'``
-    major-index family intersected with the ``mu``-shuffles.
+    major-index family intersected with the ``mu``-shuffles.  With
+    ``twisted`` the words range over reverse shuffles and the result is the
+    sign-twisted polynomial.  Plain and twisted come from one tally, cached
+    per shape.
 
     >>> hall_littlewood_by_descents((1, 1))[(1, 1)]
     TPoly({0: 1, 1: 1})
+    >>> hall_littlewood_by_descents((3, 1), twisted=True)[(2, 1, 1)]
+    TPoly({1: 1})
     """
-    return dict(_descent_expansions(check_partition(lam))[0])
-
-
-def hall_littlewood_omega_by_descents(lam: Partition) -> SymExpansion:
-    """Sign-twisted variant: reverse shuffles in place of shuffles."""
-    return dict(_descent_expansions(check_partition(lam))[1])
+    pair = _descent_expansions(check_partition(lam))
+    return dict(pair[1] if twisted else pair[0])
 
 
 def hall_littlewood_by_ribbons(lam: Partition, twisted: bool = False) -> SymExpansion:
@@ -268,34 +251,6 @@ def hall_littlewood_by_ribbons(lam: Partition, twisted: bool = False) -> SymExpa
     """
     pair = _ribbon_expansions(check_partition(lam))
     return dict(pair[1] if twisted else pair[0])
-
-
-def leading_coefficient_check(lam: Partition) -> bool:
-    """The coefficient of ``m_{lam'}`` in the sign-twisted expansion indexed
-    by ``lam`` must be exactly ``t^{n(lam)}``.
-
-    >>> leading_coefficient_check((2, 2, 1))
-    True
-    """
-    lam = check_partition(lam)
-    coeff = hall_littlewood_omega_by_descents(lam).get(conjugate(lam), TPoly.zero())
-    return coeff == TPoly.monomial(n_stat(lam))
-
-
-def dominance_support_check(lam: Partition) -> bool:
-    """Every partition carrying a nonzero coefficient in the sign-twisted
-    expansion indexed by ``lam`` is dominated by ``lam'``.
-
-    >>> dominance_support_check((3, 1))
-    True
-    """
-    lam = check_partition(lam)
-    target = conjugate(lam)
-    return all(
-        dominates(target, mu)
-        for mu, coeff in hall_littlewood_omega_by_descents(lam).items()
-        if coeff
-    )
 
 
 def expansion_diff(a: SymExpansion, b: SymExpansion) -> dict[Partition, tuple[TPoly, TPoly]]:

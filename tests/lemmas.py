@@ -4,8 +4,10 @@ Each one tests a statement about the objects the package computes, not a
 step of any command: the local patterns of minimal ribbon tuples, the
 structure of the dinv-zero parking functions, the extreme exponents of the
 antisymmetrized descent monomials, and the splitting map's containment of
-the conjugate ideal.  The test modules import them as
-``from lemmas import ...``.
+the conjugate ideal.  Beside them are the two helpers the containment
+check needs, which the tests use as well: multiplication by a monomial and
+the splitting map regrouped by descent-basis coordinate.  The test modules
+import them as ``from lemmas import ...``.
 """
 
 from __future__ import annotations
@@ -15,14 +17,36 @@ import random
 from gpdescent.core import Composition, Partition, conjugate, partitions
 from gpdescent.descent import descent_key
 from gpdescent.parking import ParkingFunction
-from gpdescent.polynomial import elementary_symmetric, mul_monomial
+from gpdescent.polynomial import Exponent, MPoly, elementary_symmetric
 from gpdescent.ribbon import RibbonTuple
 from gpdescent.tanisaki import (
-    ideal_member,
+    _quotient_normal_form,
     parabolic_basis_elements,
-    phi_by_descent_coordinates,
+    phi_map,
     tanisaki_ideal,
 )
+
+
+def mul_monomial(a: MPoly, exp: Exponent) -> MPoly:
+    """Multiply by a single monomial (no coefficient)."""
+    return {tuple(x + y for x, y in zip(e, exp)): c for e, c in a.items()}
+
+
+def phi_by_descent_coordinates(subset, p: MPoly) -> dict[Exponent, MPoly]:
+    """Regroup :func:`~gpdescent.tanisaki.phi_map` by the descent-basis
+    exponent of the first factor: the value at ``a`` is the full
+    second-factor polynomial."""
+    grouped: dict[Exponent, MPoly] = {}
+    for first, second in phi_map(subset, p):
+        ((second_exp, second_coeff),) = second.items()
+        for a, coeff in first.items():
+            block = grouped.setdefault(a, {})
+            value = block.get(second_exp, 0) + coeff * second_coeff
+            if value:
+                block[second_exp] = value
+            else:
+                block.pop(second_exp, None)
+    return {a: block for a, block in grouped.items() if block}
 
 
 def check_patterns(tup: RibbonTuple) -> list[str]:
@@ -150,6 +174,6 @@ def tanimap_spot_check(
                     if n - k == 0:
                         if second:
                             return False
-                    elif not ideal_member(tail_ideal_shape, second):
+                    elif _quotient_normal_form(tail_ideal_shape, second):
                         return False
     return True

@@ -26,7 +26,6 @@ from gpdescent.symfunc import (
     TPoly,
     hall_littlewood_by_descents,
     hall_littlewood_by_ribbons,
-    hall_littlewood_omega_by_descents,
     q_factorial,
 )
 from gpdescent.tanisaki import (
@@ -100,7 +99,7 @@ def test_acceptance_3_two_route_cross_check():
                 == hall_littlewood_by_ribbons(lam)
             ), lam
             assert (
-                hall_littlewood_omega_by_descents(conjugate(lam))
+                hall_littlewood_by_descents(conjugate(lam), twisted=True)
                 == hall_littlewood_by_ribbons(lam, twisted=True)
             ), lam
     _stamp(3, started)
@@ -117,14 +116,14 @@ def test_acceptance_4_published_expansions():
     ribbon_route = hall_littlewood_by_ribbons(conjugate((2, 1, 1)))
     assert h[(2, 1, 1)] == ribbon_route[(2, 1, 1)]
 
-    w = hall_littlewood_omega_by_descents((2, 2, 1))
+    w = hall_littlewood_by_descents((2, 2, 1), twisted=True)
     assert w[(3, 2)] == TPoly({4: 1})
     assert w[(3, 1, 1)] == TPoly({3: 1, 4: 1})
     assert w[(2, 2, 1)] == TPoly({2: 1, 3: 2, 4: 2})
     assert w[(2, 1, 1, 1)] == TPoly({1: 1, 2: 3, 3: 5, 4: 3})
     assert w[(1, 1, 1, 1, 1)] == TPoly.from_coefficient_list([1, 4, 9, 11, 5])
 
-    w31 = hall_littlewood_omega_by_descents((3, 1))
+    w31 = hall_littlewood_by_descents((3, 1), twisted=True)
     assert w31 == {
         (2, 1, 1): TPoly({1: 1}),
         (1, 1, 1, 1): TPoly.from_coefficient_list([1, 3]),

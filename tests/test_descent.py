@@ -15,7 +15,6 @@ from gpdescent.core import (
 from gpdescent.descent import (
     NotADescentComposition,
     ascent_set,
-    descent_compare,
     descent_composition_witness,
     descent_compositions,
     descent_compositions_lambda,
@@ -87,17 +86,6 @@ def test_identity_and_reversal():
     assert descent_set(reversal) == {1, 2, 3}
     assert inversion_set((2, 1)) == {(2, 1)}
     assert invt((2, 1)) == (1, 0)
-
-
-def test_descent_basis_element():
-    from gpdescent.descent import DescentBasisElement
-
-    element = DescentBasisElement.from_witness((3, 4, 1, 5, 2))
-    assert element.exponent == (1, 0, 2, 2, 1)
-    assert element.degree == maj((3, 4, 1, 5, 2)) == 6
-    assert DescentBasisElement.from_exponent(element.exponent) == element
-    with pytest.raises(NotADescentComposition):
-        DescentBasisElement.from_exponent((1, 1, 0))
 
 
 def test_maj_generating_function_s4():
@@ -179,26 +167,14 @@ def test_descent_compositions_d3():
     }
 
 
-def test_descent_compare_examples():
-    assert descent_compare((0, 1, 1), (2, 0, 0)) == -1
-    assert descent_compare((1, 0, 1), (1, 1, 0)) == -1
-    assert descent_compare((1, 0, 1), (1, 0, 1)) == 0
-    with pytest.raises(ValueError):
-        descent_compare((1,), (1, 0))
-
-
 def test_descent_order_is_total():
+    # the descending sorts decide first, then the vectors themselves
+    assert descent_key((0, 1, 1)) < descent_key((2, 0, 0))
+    assert descent_key((1, 0, 1)) < descent_key((1, 1, 0))
     vectors = list(itertools.product(range(3), repeat=4))
     keys = [descent_key(v) for v in vectors]
     assert len(set(keys)) == len(vectors)  # antisymmetry: distinct keys
-    # transitivity and totality come for free from key comparison; check
-    # consistency of compare with keys on a sample
-    rng = random.Random(7)
-    for _ in range(300):
-        a, b = rng.choice(vectors), rng.choice(vectors)
-        assert descent_compare(a, b) == (descent_key(a) > descent_key(b)) - (
-            descent_key(a) < descent_key(b)
-        )
+    # transitivity and totality come for free from key comparison
 
 
 def test_restrict():
@@ -210,6 +186,7 @@ def test_restrict():
 
 def test_restriction_property_of_descent_order():
     # a|_S <= b|_S and a|_T <= b|_T imply a <= b, for complementary S, T
+    below = lambda a, b: descent_key(a) <= descent_key(b)
     rng = random.Random(11)
     for n in range(2, 9):
         for _ in range(60):
@@ -218,11 +195,8 @@ def test_restriction_property_of_descent_order():
             size = rng.randrange(1, n)
             S = set(rng.sample(range(1, n + 1), size))
             T = set(range(1, n + 1)) - S
-            if (
-                descent_compare(restrict(a, S), restrict(b, S)) <= 0
-                and descent_compare(restrict(a, T), restrict(b, T)) <= 0
-            ):
-                assert descent_compare(a, b) <= 0
+            if below(restrict(a, S), restrict(b, S)) and below(restrict(a, T), restrict(b, T)):
+                assert below(a, b)
 
 
 def union_of_shuffles(lam):

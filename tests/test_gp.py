@@ -10,16 +10,7 @@ import pytest
 from gpdescent.core import conjugate, multinomial, n_stat, partitions
 from gpdescent.descent import descent_key
 from gpdescent.linalg import Echelon, clear_denominators, matrix_rank
-from gpdescent.polynomial import (
-    _young_subgroup,
-    antisymmetrize,
-    elementary_symmetric,
-    monomial,
-    monomials_of_degree,
-    mul,
-    mul_monomial,
-    variable,
-)
+from gpdescent.polynomial import _young_subgroup, antisymmetrize, elementary_symmetric, monomial
 from gpdescent.symfunc import TPoly, hall_littlewood_by_descents, q_factorial
 from gpdescent.tanisaki import (
     _descent_walk,
@@ -29,22 +20,38 @@ from gpdescent.tanisaki import (
     _quotient_slice,
     descent_normal_form,
     hilbert_series,
-    ideal_member,
-    ideal_slice_basis,
     p_stat,
     parabolic_basis_elements,
-    phi_by_descent_coordinates,
     phi_map,
     tanisaki_ideal,
     verify_descent_basis,
     verify_parabolic_basis,
     verify_phi_injective,
 )
-from lemmas import antisymmetrized_extreme_exponents, tanimap_spot_check
+from lemmas import (
+    antisymmetrized_extreme_exponents,
+    mul_monomial,
+    phi_by_descent_coordinates,
+    tanimap_spot_check,
+)
 
 
 def frac_poly(terms):
     return {exp: Fraction(c) for exp, c in terms.items()}
+
+
+def monomials_of_degree(n, d):
+    """All exponent tuples of total degree ``d`` in ``n`` variables, in
+    decreasing lexicographic order (so ``x_1^d`` comes first); none when
+    ``d`` is negative.  The plain-lex columns and the oracle of the descent
+    walk's order."""
+    if d < 0:
+        return []
+    if n == 0:
+        return [()] if d == 0 else []
+    return [
+        (e,) + rest for e in range(d, -1, -1) for rest in monomials_of_degree(n - 1, d - e)
+    ]
 
 
 # ---------------------------------------------------------------- polynomial
@@ -61,7 +68,7 @@ def test_elementary_symmetric():
 
 
 def test_antisymmetrize_examples():
-    assert antisymmetrize((2,), variable(2, 1)) == frac_poly({(1, 0): 1, (0, 1): -1})
+    assert antisymmetrize((2,), monomial((1, 0))) == frac_poly({(1, 0): 1, (0, 1): -1})
     # second displayed basis polynomial generator: x1*x3 under (2,2,1)
     result = antisymmetrize((2, 2, 1), monomial((1, 0, 1, 0, 0)))
     assert result == frac_poly(
@@ -268,13 +275,21 @@ def test_hilbert_matches_full_size_coefficient_at_6():
 
 
 def test_ideal_slice_basis_examples():
-    # degree-1 slice of the two-variable symmetric ideal is spanned by e_1
-    assert ideal_slice_basis((1, 1), 1) == [frac_poly({(1, 0): 1, (0, 1): 1})]
+    # the ideal slice has one element m - NF(m) per non-standard monomial m
+    def ideal_dimension(lam, degree):
+        standard = _quotient_slice(lam, degree).standard
+        return len(monomials_of_degree(sum(lam), degree)) - len(standard)
+
+    # the degree-1 slice of the two-variable symmetric ideal is spanned by
+    # e_1: x1 is the one non-standard monomial, and x1 - NF(x1) = x1 + x2
+    quotient = _quotient_slice((1, 1), 1)
+    assert quotient.standard == ((0, 1),)
+    assert quotient.normal_forms[(1, 0)] == frac_poly({(0, 1): -1})
     # degree-2 slice is full: the series 1 + t has nothing in degree 2
-    assert len(ideal_slice_basis((1, 1), 2)) == 3
+    assert ideal_dimension((1, 1), 2) == 3
     # ranks for the hook of size 3 are consistent with its series 1 + 2t
-    assert len(ideal_slice_basis((2, 1), 1)) == 3 - 2
-    assert len(ideal_slice_basis((2, 1), 2)) == 6 - 0
+    assert ideal_dimension((2, 1), 1) == 3 - 2
+    assert ideal_dimension((2, 1), 2) == 6 - 0
 
 
 def test_quotient_dimension_matches_lex_order_rank():
@@ -441,12 +456,12 @@ def test_normal_form_lookup_rejects_foreign_exponents():
     # a negative degree is the empty slice: nothing is standard, and every
     # lookup is foreign
     assert _quotient_slice((2, 1), -1).standard == ()
-    assert ideal_slice_basis((2, 1), -1) == []
+    assert monomials_of_degree(3, -1) == []  # so the ideal slice is empty too
     for exp in [(-1, 0, 0), (0, 0, 0), (2, -3, 0)]:
         with pytest.raises(KeyError):
             _quotient_slice((2, 1), -1).normal_forms[exp]
     with pytest.raises(KeyError):
-        ideal_member((2, 1), {(-1, 0, 0): 1})
+        _quotient_normal_form((2, 1), {(-1, 0, 0): 1})
     first = normal_forms[(0, 2, 0)]
     assert type(first) is MappingProxyType
     assert normal_forms[(0, 2, 0)] is first
@@ -493,11 +508,16 @@ def test_polynomial_coefficients_are_int():
 
 
 def test_ideal_membership():
+    # p lies in the ideal exactly when its normal form is zero
     e1 = elementary_symmetric(1, [1, 2, 3], 3)
-    assert ideal_member((1, 1, 1), e1)
-    assert ideal_member((1, 1, 1), mul(e1, e1))
-    assert not ideal_member((1, 1, 1), variable(3, 1))
-    assert ideal_member((3,), variable(3, 1))
+    e1_squared = {
+        (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 2, (1, 0, 1): 2, (0, 1, 1): 2
+    }
+    x1 = monomial((1, 0, 0))
+    assert not _quotient_normal_form((1, 1, 1), e1)
+    assert not _quotient_normal_form((1, 1, 1), e1_squared)
+    assert _quotient_normal_form((1, 1, 1), x1)
+    assert not _quotient_normal_form((3,), x1)
 
 
 def test_verify_descent_basis_small():
@@ -524,7 +544,7 @@ def test_verify_leading_terms_small():
 
 def test_descent_normal_form():
     # x1 in three variables reduces to -x2 - x3
-    assert descent_normal_form(variable(3, 1), 3) == frac_poly(
+    assert descent_normal_form(monomial((1, 0, 0)), 3) == frac_poly(
         {(0, 1, 0): -1, (0, 0, 1): -1}
     )
     # x1*x2 reduces against e_2 to -x1x3 - x2x3

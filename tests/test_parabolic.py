@@ -10,7 +10,7 @@ from gpdescent.core import conjugate, is_reverse_shuffle, partitions
 from gpdescent.descent import descent_compositions_lambda, j_maj
 from gpdescent.linalg import matrix_rank
 from gpdescent.polynomial import antisymmetrize, monomial
-from gpdescent.symfunc import TPoly, hall_littlewood_omega_by_descents
+from gpdescent.symfunc import TPoly, hall_littlewood_by_descents
 from gpdescent.tanisaki import (
     ParabolicReport,
     _block_sorted,
@@ -61,7 +61,7 @@ def parabolic_report_by_exponent(lam, mu) -> ParabolicReport:
     count_poly = TPoly({d: len(group) for d, group in _by_degree(kept).items()})
     matches = None
     if tuple(sorted(mu, reverse=True)) == mu and all(part > 0 for part in mu):
-        coeff = hall_littlewood_omega_by_descents(conjugate(lam)).get(mu, TPoly.zero())
+        coeff = hall_littlewood_by_descents(conjugate(lam), twisted=True).get(mu, TPoly.zero())
         matches = coeff == count_poly
     return ParabolicReport(lam, mu, count_poly, independent, spans, matches)
 

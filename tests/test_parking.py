@@ -15,7 +15,6 @@ from gpdescent.parking import (
     dinv_pairs,
     doff,
     is_valid,
-    level_composition,
     minimal_parking_functions,
     parking_functions,
     parking_functions_alpha,
@@ -118,7 +117,9 @@ def test_pf0_bijection_displayed_chain():
     sigma = (3, 1, 7, 5, 4, 2, 6)
     pf = perm_to_pf0(sigma)
     assert pf == ParkingFunction((0, 0, 1, 2, 3, 3, 4), (6, 2, 4, 5, 7, 1, 3))
-    assert level_composition(pf) == (3, 0, 4, 1, 2, 0, 3) == majt(sigma)
+    # the level of the row labeled i, for each label i, is majt of the word
+    levels = tuple(level for _, level in sorted(zip(pf.labels, pf.area)))
+    assert levels == (3, 0, 4, 1, 2, 0, 3) == majt(sigma)
     assert pf0_to_perm(pf) == sigma
     assert area(pf) == maj(sigma) == 13
 
@@ -136,7 +137,7 @@ def test_pf0_roundtrip_s5():
         assert dinv(pf) == 0
         assert pf0_to_perm(pf) == sigma
         assert area(pf) == maj(sigma)
-        assert level_composition(pf) == majt(sigma)
+        assert tuple(level for _, level in sorted(zip(pf.labels, pf.area))) == majt(sigma)
 
 
 def test_pf0_roundtrip_on_sampled_permutations_of_6_to_9():

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from gpdescent.core import multinomial, n_stat, ordered_set_partitions, partitions
-from gpdescent.descent import descent_compositions_lambda, majt, majt_inverse
+from gpdescent.descent import descent_compositions_lambda, majt_inverse
 from gpdescent import parking as pk
 from gpdescent.ribbon import (
     DoesNotTerminate,
@@ -19,13 +19,10 @@ from gpdescent.ribbon import (
     doff,
     height_vector,
     is_minimal,
-    is_valid,
-    is_valid_ribbon,
     minimal_ribbon_tuples,
     reading_word,
     reconstruct,
     render,
-    ribbon_fillings,
     ribbon_to_parking,
     ribbon_tuples,
     to_json_dict,
@@ -47,12 +44,35 @@ BIG_MINIMAL = (
 )
 
 
+def is_valid_ribbon(rows):
+    """Validity of a single component: every row non-empty and strictly
+    increasing, and every row topping the row below it."""
+    return (
+        bool(rows)
+        and all(row and all(a < b for a, b in zip(row, row[1:])) for row in rows)
+        and all(upper[-1] > lower[0] for lower, upper in zip(rows, rows[1:]))
+    )
+
+
+def is_valid(tup, lam=None):
+    """Validity of a tuple: each component a ribbon, entries exactly 1..n,
+    and component sizes equal to ``lam`` when given."""
+    entries = sorted(e for comp in tup for row in comp for e in row)
+    return (
+        all(is_valid_ribbon(comp) for comp in tup)
+        and entries == list(range(1, len(entries) + 1))
+        and (lam is None or component_sizes(tup) == tuple(lam))
+    )
+
+
 def test_ribbon_validity():
     assert is_valid_ribbon(((1, 9), (5,), (3, 8), (6,)))
     assert not is_valid_ribbon(((2, 1),))  # row must increase east
     assert not is_valid_ribbon(((5,), (1, 4)))  # upper row must top the lower
     assert is_valid(DOFF_TUPLE, (6, 2, 1))
     assert is_valid(BIG_MINIMAL, (10, 9, 4))
+    assert is_valid((((1, 3),), ((2,),)), (2, 1))
+    assert is_valid((), ())
 
 
 def test_ribbon_to_parking_matches_worked_example():
@@ -121,6 +141,11 @@ def test_parking_roundtrip_up_to_5():
         for lam in partitions(n):
             images = [ribbon_to_parking(t) for t in ribbon_tuples(lam)]
             assert len(set(images)) == len(images)
+
+
+def ribbon_fillings(entries):
+    """All ribbons on a fixed entry set, one per ordering of the entries."""
+    return [_ribbon(word) for word in itertools.permutations(sorted(entries))]
 
 
 def test_fillings_count_is_factorial():

@@ -2,19 +2,24 @@ from collections import Counter
 
 import pytest
 
-from gpdescent.core import conjugate, multinomial, partitions, permutations, value_blocks
+from gpdescent.core import (
+    conjugate,
+    dominates,
+    multinomial,
+    n_stat,
+    partitions,
+    permutations,
+    value_blocks,
+)
 from gpdescent.descent import j_maj, maj
 from gpdescent.ribbon import area, minimal_ribbon_tuples, reading_word
 from gpdescent.symfunc import (
     TPoly,
-    dominance_support_check,
     expansion_diff,
     expansion_json,
     expansion_lines,
     hall_littlewood_by_descents,
     hall_littlewood_by_ribbons,
-    hall_littlewood_omega_by_descents,
-    leading_coefficient_check,
     q_factorial,
 )
 
@@ -29,7 +34,6 @@ def test_tpoly_arithmetic():
     assert TPoly({}) == TPoly.zero()
     assert not TPoly.zero()
     assert sum(TPoly({0: 1, 1: 4}).coeffs.values()) == 5
-    assert TPoly({3: 2}).degree() == 3
     assert str(TPoly({0: 1, 2: 2})) == "1 + 2t^2"
     assert TPoly({2: 1, 3: 2}).to_json_dict() == {"2": 1, "3": 2}
 
@@ -58,7 +62,7 @@ def test_expansion_211_displayed_coefficients():
 
 
 def test_omega_expansion_221_displayed_coefficients():
-    w = hall_littlewood_omega_by_descents((2, 2, 1))
+    w = hall_littlewood_by_descents((2, 2, 1), twisted=True)
     assert w[(3, 2)] == TPoly({4: 1})
     assert w[(3, 1, 1)] == TPoly({3: 1, 4: 1})
     assert w[(2, 2, 1)] == TPoly({2: 1, 3: 2, 4: 2})
@@ -67,7 +71,7 @@ def test_omega_expansion_221_displayed_coefficients():
 
 
 def test_omega_expansion_31():
-    w = hall_littlewood_omega_by_descents((3, 1))
+    w = hall_littlewood_by_descents((3, 1), twisted=True)
     assert w == {(2, 1, 1): TPoly({1: 1}), (1, 1, 1, 1): tp(1, 3)}
 
 
@@ -91,23 +95,27 @@ def test_routes_agree_up_to_6():
                 == hall_littlewood_by_ribbons(lam)
             )
             assert (
-                hall_littlewood_omega_by_descents(conjugate(lam))
+                hall_littlewood_by_descents(conjugate(lam), twisted=True)
                 == hall_littlewood_by_ribbons(lam, twisted=True)
             )
 
 
 def test_leading_coefficient_axiom():
-    assert leading_coefficient_check((2, 2, 1))
-    assert leading_coefficient_check((3, 1))
+    # the m_{lam'} coefficient of the sign-twisted expansion indexed by lam
+    # is exactly t^{n(lam)}
     for n in range(1, 6):
         for lam in partitions(n):
-            assert leading_coefficient_check(lam)
+            twisted = hall_littlewood_by_descents(lam, twisted=True)
+            assert twisted.get(conjugate(lam)) == TPoly.monomial(n_stat(lam)), lam
 
 
 def test_dominance_support():
+    # every m_mu carrying a coefficient in the sign-twisted expansion indexed
+    # by lam has mu dominated by lam'
     for n in range(1, 7):
         for lam in partitions(n):
-            assert dominance_support_check(lam)
+            for mu, coeff in hall_littlewood_by_descents(lam, twisted=True).items():
+                assert coeff and dominates(conjugate(lam), mu), (lam, mu)
 
 
 def test_full_size_coefficient_counts_family():
@@ -126,7 +134,7 @@ def test_positivity():
 
 
 def test_text_and_json_forms():
-    h = hall_littlewood_omega_by_descents((2, 2, 1))
+    h = hall_littlewood_by_descents((2, 2, 1), twisted=True)
     lines = expansion_lines(h)
     assert lines[0] == "m[3,2]: t^4"
     payload = expansion_json(h)
@@ -171,7 +179,7 @@ def test_expansion_matches_shuffle_oracle():
         for lam in partitions(n):
             plain, twisted = _shuffle_oracle(n, j_maj(conjugate(lam)), maj, lambda w: w)
             assert hall_littlewood_by_descents(lam) == plain
-            assert hall_littlewood_omega_by_descents(lam) == twisted
+            assert hall_littlewood_by_descents(lam, twisted=True) == twisted
             plain, twisted = _shuffle_oracle(n, minimal_ribbon_tuples(lam), area, reading_word)
             assert hall_littlewood_by_ribbons(lam) == plain
             assert hall_littlewood_by_ribbons(lam, twisted=True) == twisted
@@ -194,7 +202,7 @@ def test_routes_agree_at_7():
             == hall_littlewood_by_ribbons(lam)
         )
         assert (
-            hall_littlewood_omega_by_descents(conjugate(lam))
+            hall_littlewood_by_descents(conjugate(lam), twisted=True)
             == hall_littlewood_by_ribbons(lam, twisted=True)
         )
 
@@ -213,7 +221,7 @@ def test_routes_agree_on_sampled_shapes_of_8():
             == hall_littlewood_by_ribbons(lam)
         )
         assert (
-            hall_littlewood_omega_by_descents(conjugate(lam))
+            hall_littlewood_by_descents(conjugate(lam), twisted=True)
             == hall_littlewood_by_ribbons(lam, twisted=True)
         )
 
@@ -223,8 +231,9 @@ def test_routes_agree_on_sampled_shapes_of_8():
 def test_cached_expansions_are_read_only():
     for expand in (
         hall_littlewood_by_descents,
-        hall_littlewood_omega_by_descents,
+        lambda lam: hall_littlewood_by_descents(lam, twisted=True),
         hall_littlewood_by_ribbons,
+        lambda lam: hall_littlewood_by_ribbons(lam, twisted=True),
     ):
         first = expand((2, 1))
         expected = {mu: TPoly(dict(coeff.coeffs)) for mu, coeff in first.items()}
