@@ -53,8 +53,12 @@ def check_bound(n: int, bound: int) -> None:
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
+    """The comma-separated integers in ``text``.  ``''`` is the empty
+    partition or word; any other empty item is a usage error."""
+    if text == "":
+        return ()
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        return tuple(map(int, text.split(",")))
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
@@ -124,40 +128,35 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _json_line(document: dict) -> str:
-    """``json.dumps(document)`` and a newline, for an enumerated element.
-
-    Every key is a plain ASCII name and every value an ``int`` or a nested
-    list of ``int``s, and ``str`` renders such a list exactly as
-    ``json.dumps`` does by default (``", "`` between items), so the line
-    needs no encoder call.
-    """
-    return "{" + ", ".join([f'"{key}": {value}' for key, value in document.items()]) + "}\n"
-
-
 def cmd_enumerate(args) -> int:
     lam = _read_shape(args)
+    # One line renderer per kind and format.  The JSON lines are built
+    # straight from the element: ``str`` of a list of ints, or of nested
+    # such lists, is exactly ``json.dumps``'s default rendering (", "
+    # between items), so no dict is built and no encoder runs.
     if args.kind == "D":
         family = descent.descent_compositions_lambda(lam)
-        to_json, to_text = (lambda a: {"composition": list(a)}), list
+        json_line = lambda a: f'{{"composition": {list(a)}}}\n'
+        text_line = lambda a: f"{list(a)}\n"
     elif args.kind == "Jmaj":
         family = sorted(descent.j_maj(lam))
-        to_json, to_text = (lambda sigma: {"word": list(sigma), "maj": descent.maj(sigma)}), list
+        json_line = lambda sigma: f'{{"word": {list(sigma)}, "maj": {descent.maj(sigma)}}}\n'
+        text_line = lambda sigma: f"{list(sigma)}\n"
     elif args.kind == "R0":
         family = ribbon.minimal_ribbon_tuples(lam)
-        to_json, to_text = ribbon.to_json_dict, (lambda tup: ribbon.render(tup) + "\n")
+        # rows of entries per component, bottom row first
+        json_line = lambda tup: f'{{"components": {[list(map(list, comp)) for comp in tup]}}}\n'
+        text_line = lambda tup: f"{ribbon.render(tup)}\n\n"
     else:
         family = parking.minimal_parking_functions(tuple(reversed(lam)))
-        to_json, to_text = parking.to_json_dict, (lambda pf: parking.render(pf) + "\n")
+        json_line = lambda pf: f'{{"area": {list(pf.area)}, "labels": {list(pf.labels)}}}\n'
+        text_line = lambda pf: f"{parking.render(pf)}\n\n"
+    line = json_line if args.format == "json" else text_line
     # One write per element, as it is produced.
     write = sys.stdout.write
     count = 0
-    if args.format == "json":
-        for count, item in enumerate(family, 1):
-            write(_json_line(to_json(item)))
-    else:
-        for count, item in enumerate(family, 1):
-            write(f"{to_text(item)}\n")
+    for count, item in enumerate(family, 1):
+        write(line(item))
     summary = {"count": count, "multinomial": multinomial(lam)}
     print(json.dumps(summary) if args.format == "json" else f"count: {count} (multinomial {summary['multinomial']})")
     return EXIT_OK

@@ -24,6 +24,7 @@ from .core import (
     ordered_set_partitions,
     value_blocks,
 )
+from .descent import majt
 
 
 class ParkingFunction(NamedTuple):
@@ -215,14 +216,9 @@ def perm_to_pf0(sigma: Permutation) -> ParkingFunction:
     >>> perm_to_pf0((3, 1, 7, 5, 4, 2, 6))
     ParkingFunction(area=(0, 0, 1, 2, 3, 3, 4), labels=(6, 2, 4, 5, 7, 1, 3))
     """
-    n = len(sigma)
-    levels = [0] * n
-    level = 0
-    for i in range(n - 1, 0, -1):
-        if sigma[i - 1] > sigma[i]:
-            level += 1
-        levels[n - i] = level
-    return ParkingFunction(tuple(levels), tuple(reversed(sigma)))
+    table = majt(sigma)
+    labels = tuple(reversed(sigma))
+    return ParkingFunction(tuple([table[value - 1] for value in labels]), labels)
 
 
 def pf0_to_perm(pf: ParkingFunction) -> Permutation:
@@ -315,8 +311,3 @@ def render(pf: ParkingFunction) -> str:
                 cells.append(".".rjust(width))
         lines.append(" ".join(cells))
     return "\n".join(lines)
-
-
-def to_json_dict(pf: ParkingFunction) -> dict:
-    """Canonical serialization as the pair of integer sequences."""
-    return {"area": list(pf.area), "labels": list(pf.labels)}

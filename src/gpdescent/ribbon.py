@@ -662,8 +662,3 @@ def render(tup: RibbonTuple, gap: int = 1) -> str:
                 cells[col] = str(entry).rjust(width)
         lines.append(" ".join(cells).rstrip())
     return "\n".join(lines)
-
-
-def to_json_dict(tup: RibbonTuple) -> dict:
-    """Canonical serialization: rows of entries per component, bottom row first."""
-    return {"components": [[list(row) for row in comp] for comp in tup]}

@@ -197,7 +197,6 @@ def _group(n: int, tally: Tally) -> tuple[SymExpansion, SymExpansion]:
     return plain, twisted
 
 
-@lru_cache(maxsize=None)
 def _descent_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
     family = descent_compositions_lambda(conjugate(lam))
     for a in family:
@@ -207,7 +206,7 @@ def _descent_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
     return _group(sum(lam), Counter(zip(ascents, map(sum, family))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # verify_parabolic_basis re-reads it once per mu of n
 def _ribbon_expansions(lam: Partition) -> tuple[SymExpansion, SymExpansion]:
     tally: Tally = {}
 
@@ -224,8 +223,7 @@ def hall_littlewood_by_descents(lam: Partition, twisted: bool = False) -> SymExp
     by ``lam``: the ``m_mu`` coefficient sums ``t^maj`` over the shape-``lam'``
     major-index family intersected with the ``mu``-shuffles.  With
     ``twisted`` the words range over reverse shuffles and the result is the
-    sign-twisted polynomial.  Plain and twisted come from one tally, cached
-    per shape.
+    sign-twisted polynomial.  Plain and twisted come from one tally.
 
     >>> hall_littlewood_by_descents((1, 1))[(1, 1)]
     TPoly({0: 1, 1: 1})
@@ -233,7 +231,7 @@ def hall_littlewood_by_descents(lam: Partition, twisted: bool = False) -> SymExp
     TPoly({1: 1})
     """
     pair = _descent_expansions(check_partition(lam))
-    return dict(pair[1] if twisted else pair[0])
+    return pair[1] if twisted else pair[0]
 
 
 def hall_littlewood_by_ribbons(lam: Partition, twisted: bool = False) -> SymExpansion:

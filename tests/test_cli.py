@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import gpdescent
-from gpdescent import cli
 from gpdescent.cli import CHECKS, EXIT_PIPE, main
 from gpdescent.core import partitions
+from gpdescent.descent import descent_compositions_lambda, j_maj, maj
+from gpdescent.parking import minimal_parking_functions
+from gpdescent.ribbon import minimal_ribbon_tuples
 
 
 def run(capsys, *argv):
@@ -94,27 +96,31 @@ def test_enumerate_pf0(capsys):
     assert json.loads(lines[-1])["count"] == 12
 
 
-def test_enumerate_json_lines_are_json_dumps_up_to_6(capsys, monkeypatch):
-    # each element line is json.dumps of the very dict cmd_enumerate built,
-    # for every kind on every shape of size 6
-    encode = cli._json_line
-    documents = []
-
-    def checked(document):
-        line = encode(document)
-        assert line == json.dumps(document) + "\n", document
-        documents.append(document)
-        return line
-
-    monkeypatch.setattr(cli, "_json_line", checked)
-    for kind in ("D", "Jmaj", "R0", "PF0"):
-        for lam in partitions(6):
-            documents.clear()
-            code, out, _ = run(capsys, "enumerate", kind, ",".join(map(str, lam)))
-            *lines, summary = out.splitlines()
-            assert code == 0
-            assert len(lines) == len(documents) == json.loads(summary)["count"] > 0
-            assert [json.loads(line) for line in lines] == documents
+def test_enumerate_json_lines_are_json_dumps_up_to_6(capsys):
+    # every element line is json.dumps of the element's document, built here
+    # from the library family, in order, for every kind on every shape of
+    # size at most 6
+    documents = {
+        "D": lambda lam: [{"composition": list(a)} for a in descent_compositions_lambda(lam)],
+        "Jmaj": lambda lam: [{"word": list(w), "maj": maj(w)} for w in sorted(j_maj(lam))],
+        "R0": lambda lam: [
+            {"components": [[list(row) for row in comp] for comp in tup]}
+            for tup in minimal_ribbon_tuples(lam)
+        ],
+        "PF0": lambda lam: [
+            {"area": list(pf.area), "labels": list(pf.labels)}
+            for pf in minimal_parking_functions(tuple(reversed(lam)))
+        ],
+    }
+    for kind, build in documents.items():
+        for n in range(7):
+            for lam in partitions(n):
+                code, out, _ = run(capsys, "enumerate", kind, ",".join(map(str, lam)))
+                *lines, summary = out.splitlines(keepends=True)
+                expected = [json.dumps(document) + "\n" for document in build(lam)]
+                assert code == 0
+                assert lines == expected, (kind, lam)
+                assert json.loads(summary)["count"] == len(expected) > 0
 
 
 # sha256 of `--format table enumerate KIND 3,2,1`, recorded when each
@@ -418,11 +424,23 @@ def test_enumerate_empty_ribbon_table(capsys):
 
 
 def test_argument_text_errors_exit_2(capsys, monkeypatch):
-    # integers that do not parse, and a composition that is not a partition
-    for argv in (["verify", "3,a"], ["verify", "1,2"]):
+    # integers that do not parse, a composition that is not a partition,
+    # and an empty item anywhere but in the empty text
+    for argv in (
+        ["verify", "3,a"],
+        ["verify", "1,2"],
+        ["verify", "3,,1"],
+        ["enumerate", "D", "2,1,"],
+        ["enumerate", "D", ",2,1"],
+        ["stats", ","],
+    ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: "), argv
+    # the empty text is the empty partition, n = 0
+    code, out, _ = run(capsys, "verify", "")
+    assert code == 0
+    assert json.loads(out)["lambda"] == []
     monkeypatch.setenv("GPDESCENT_N_BOUND", "six")
     code, out, err = run(capsys, "verify", "2,1", "--checks", "basis")
     assert (code, out) == (2, "")

@@ -5,6 +5,11 @@ A refactor must leave every entry unchanged.  A deliberate change of output
 is announced in CHANGES.md and re-recorded with
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
+
+The same comparison runs without pytest, on any interpreter the package
+supports; it lists the changed invocations and exits 1 if there are any:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --check
 """
 
 import contextlib
@@ -46,18 +51,35 @@ def observe(argv: list[str]) -> dict:
     return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}
 
 
+def changed_invocations() -> list[str]:
+    """The invocations whose output or exit code differs from ``cli_golden.json``,
+    with those recorded there or listed by ``invocations`` but not both.
+
+    Run with ``ENV_BOUND`` unset, so that every call sees the default bound.
+    """
+    golden = json.loads(GOLDEN.read_text())
+    calls = {" ".join(argv): argv for argv in invocations()}
+    return sorted(
+        call
+        for call in golden.keys() | calls.keys()
+        if call not in calls or observe(calls[call]) != golden.get(call)
+    )
+
+
 def test_cli_output_matches_golden(monkeypatch):
     monkeypatch.delenv(ENV_BOUND, raising=False)
-    golden = json.loads(GOLDEN.read_text())
-    calls = invocations()
-    assert sorted(golden) == sorted(" ".join(argv) for argv in calls)
-    changed = [" ".join(argv) for argv in calls if observe(argv) != golden[" ".join(argv)]]
-    assert not changed
+    assert not changed_invocations()
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] not in (["--record"], ["--check"]):
         sys.exit(__doc__)
     os.environ.pop(ENV_BOUND, None)
+    if sys.argv[1] == "--check":
+        changed = changed_invocations()
+        for call in changed:
+            print(f"changed: {call}")
+        print(f"{len(changed)} of {len(invocations())} invocations changed")
+        sys.exit(1 if changed else 0)
     record = {" ".join(argv): observe(argv) for argv in invocations()}
     GOLDEN.write_text(json.dumps(record, indent=1) + "\n")

@@ -25,7 +25,6 @@ from gpdescent.ribbon import (
     render,
     ribbon_to_parking,
     ribbon_tuples,
-    to_json_dict,
     verify_minimal_ribbons,
 )
 from lemmas import check_patterns
@@ -528,12 +527,7 @@ def test_statistics_are_offset_independent():
                     assert coordinate_dinv_pairs(tup, gap) == reference
 
 
-def test_render_and_json():
+def test_render_and_component_sizes():
     text = render(ALG_TUPLE)
     assert "9" in text and "\n" in text
-    payload = to_json_dict(ALG_TUPLE)
-    rebuilt = tuple(
-        tuple(tuple(row) for row in comp) for comp in payload["components"]
-    )
-    assert rebuilt == ALG_TUPLE
     assert component_sizes(ALG_TUPLE) == (6, 2, 1)

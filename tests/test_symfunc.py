@@ -192,7 +192,7 @@ def test_descent_route_rejects_a_non_table(monkeypatch):
     # (1, 1, 0) is the major index table of no permutation
     monkeypatch.setattr(symfunc_module, "descent_compositions_lambda", lambda lam: ((1, 1, 0),))
     with pytest.raises(NotADescentComposition):
-        symfunc_module._descent_expansions.__wrapped__((3,))
+        symfunc_module._descent_expansions((3,))
 
 
 def test_routes_agree_at_7():
